@@ -136,27 +136,3 @@ def test_sweep_benchmark_smoke(tmp_path):
     with open(path, encoding="utf-8") as handle:
         assert json.load(handle)["n_jobs"] == 2
 
-
-def test_crossover_benchmark_smoke():
-    from repro.experiments.bench import (format_crossover_table,
-                                         run_crossover_benchmark)
-    from repro.mapping.kernel import SMALL_PLANE_TASKS
-
-    payload = run_crossover_benchmark(scale=0.004, trials=1, base_seed=42,
-                                      max_tasks=2)
-    assert payload["benchmark"] == "crossover"
-    assert len(payload["widths"]) == 2
-    for row in payload["widths"]:
-        assert row["loop_s"] > 0 and row["vector_s"] > 0
-        assert row["speedup"] > 0
-        assert isinstance(row["vector_wins"], bool)
-    # The measured threshold is the largest width the loop still wins --
-    # between 0 (vector always wins) and max_tasks (loop always wins).
-    assert 0 <= payload["measured_small_plane_tasks"] <= 2
-    assert payload["pinned_default"] == SMALL_PLANE_TASKS
-
-    table = format_crossover_table(payload)
-    print()
-    print(table)
-    assert "measured small-plane threshold" in table
-    assert "small_plane_tasks" in table

@@ -77,7 +77,6 @@ class Simulation:
     cost_enabled: bool = False
     confidence_value: float = 0.95
     incremental_enabled: bool = True
-    scoring_backend: str = "vector"
     numerics_profile: str = "exact"
     uncertainty_name: str = "none"
     uncertainty_params: Tuple[Tuple[str, Any], ...] = ()
@@ -266,22 +265,6 @@ class Simulation:
         """
         return replace(self, incremental_enabled=bool(enabled))
 
-    def scoring(self, backend: str = "vector") -> "Simulation":
-        """Select the two-phase score-plane backend (``"loop"``/``"vector"``).
-
-        ``"vector"`` (default) evaluates each mapping round's
-        (task x machine) score plane through the batched NumPy engine;
-        ``"loop"`` keeps the per-pair reference loop.  Assignments -- and
-        therefore all metrics -- are identical either way (the vector
-        backend's tie-break columns reproduce the loop's pick order
-        bit-for-bit), so like :meth:`incremental` this is a performance
-        switch kept switchable for equivalence testing and benchmarking.
-        """
-        if backend not in ("loop", "vector"):
-            raise ValueError(f"unknown scoring backend {backend!r}; "
-                             "expected 'loop' or 'vector'")
-        return replace(self, scoring_backend=backend)
-
     def numerics(self, profile: str = "exact") -> "Simulation":
         """Select the mapping-score arithmetic profile (``"exact"``/``"fast"``).
 
@@ -292,9 +275,9 @@ class Simulation:
         scores from batched FFT folds, trading float ordering for speed
         within a documented sup-norm tolerance
         (:data:`repro.core.completion.FAST_FOLD_SUP_NORM_TOL`); committed
-        completion PMFs stay exact.  Unlike :meth:`incremental` /
-        :meth:`scoring` this *is* a (tolerance-bounded) semantic switch,
-        so it is serialised on plans whenever it is not ``"exact"``.
+        completion PMFs stay exact.  Unlike :meth:`incremental` this *is*
+        a (tolerance-bounded) semantic switch, so it is serialised on
+        plans whenever it is not ``"exact"``.
         Requires the incremental core (``incremental=True``).
         """
         if profile not in ("exact", "fast"):
@@ -336,7 +319,6 @@ class Simulation:
                       batch_window=self.batch_window_value,
                       with_cost=self.cost_enabled,
                       incremental=self.incremental_enabled,
-                      scoring=self.scoring_backend,
                       numerics=self.numerics_profile,
                       uncertainty_name=self.uncertainty_name,
                       uncertainty_params=self.uncertainty_params,
@@ -363,8 +345,6 @@ class Simulation:
         }
         if not self.incremental_enabled:
             config["incremental"] = False
-        if self.scoring_backend != "vector":
-            config["scoring"] = self.scoring_backend
         if self.numerics_profile != "exact":
             config["numerics"] = self.numerics_profile
         if self.uncertainty_name != "none":
@@ -466,7 +446,6 @@ class Simulation:
             confidence=self.confidence_value,
             with_cost=self.cost_enabled,
             incremental=self.incremental_enabled,
-            scoring=self.scoring_backend,
             numerics=self.numerics_profile,
             uncertainty=self.uncertainty_name,
             uncertainty_params=self.uncertainty_params,

@@ -79,8 +79,6 @@ PLAN_AXES: Tuple[str, ...] = ("scenario", "arrival", "level", "mapper",
 _RESERVED_SCENARIO_PARAMS = ("level", "scale", "gamma", "seed",
                              "queue_capacity")
 
-_SCORING_BACKENDS = ("loop", "vector")
-
 _NUMERICS_PROFILES = ("exact", "fast")
 
 
@@ -253,7 +251,6 @@ class ExperimentPlan:
     confidence: float = 0.95
     with_cost: bool = False
     incremental: bool = True
-    scoring: str = "vector"
     #: Mapping-score arithmetic profile ("exact" keeps scores bit-identical
     #: to the naive reference, "fast" enables the closed-form / batched-FFT
     #: score backends within a documented tolerance).  Serialised only when
@@ -328,7 +325,6 @@ class ExperimentPlan:
         set_(self, "confidence", float(self.confidence))
         set_(self, "with_cost", bool(self.with_cost))
         set_(self, "incremental", bool(self.incremental))
-        set_(self, "scoring", str(self.scoring))
         set_(self, "numerics", str(self.numerics))
         set_(self, "uncertainty", str(self.uncertainty))
         params = self.uncertainty_params
@@ -407,9 +403,6 @@ class ExperimentPlan:
             raise PlanError("batch window must be at least 1")
         if not 0.0 < self.confidence < 1.0:
             raise PlanError("confidence must be in (0, 1)")
-        if self.scoring not in _SCORING_BACKENDS:
-            raise PlanError(f"unknown scoring backend {self.scoring!r}; "
-                            f"expected one of {_SCORING_BACKENDS}")
         if self.numerics not in _NUMERICS_PROFILES:
             raise PlanError(f"unknown numerics profile {self.numerics!r}; "
                             f"expected one of {_NUMERICS_PROFILES}")
@@ -522,7 +515,6 @@ class ExperimentPlan:
                                         batch_window=self.batch_window,
                                         with_cost=self.with_cost,
                                         incremental=self.incremental,
-                                        scoring=self.scoring,
                                         numerics=self.numerics,
                                         uncertainty_name=self.uncertainty,
                                         uncertainty_params=(
@@ -604,8 +596,6 @@ class ExperimentPlan:
             config["arrival"] = arrival
         if not self.incremental:
             config["incremental"] = False
-        if self.scoring != "vector":
-            config["scoring"] = self.scoring
         if self.numerics != "exact":
             config["numerics"] = self.numerics
         if self.uncertainty != "none":
@@ -654,7 +644,10 @@ class ExperimentPlan:
             "base_seed": self.base_seed,
             "n_jobs": self.n_jobs,
             "incremental": self.incremental,
-            "scoring": self.scoring,
+            # Fixed entry: the window width chooses the score-plane
+            # backend, and plans written while this was a setting keep
+            # their fingerprints (and spools).
+            "scoring": "vector",
             "with_cost": self.with_cost,
             "confidence": self.confidence,
         }
@@ -711,6 +704,11 @@ class ExperimentPlan:
                                 "uncertainty_params", "faults",
                                 "fault_params", "topology",
                                 "topology_params"), "plan execution")
+        if execution.get("scoring", "vector") != "vector":
+            raise PlanError(
+                f"plan execution 'scoring' must be 'vector', got "
+                f"{execution['scoring']!r}: the score-plane backend is "
+                f"chosen from the window width")
         if "pairs" in grid and ("mappers" in grid or "droppers" in grid):
             raise PlanError("plan grid takes either 'pairs' or "
                             "'mappers'/'droppers', not both")
@@ -732,9 +730,9 @@ class ExperimentPlan:
             if key in grid:
                 kwargs[key] = grid[key]
         for key in ("trials", "base_seed", "n_jobs", "incremental",
-                    "scoring", "numerics", "with_cost", "confidence",
-                    "uncertainty", "uncertainty_params", "faults",
-                    "fault_params", "topology", "topology_params"):
+                    "numerics", "with_cost", "confidence", "uncertainty",
+                    "uncertainty_params", "faults", "fault_params",
+                    "topology", "topology_params"):
             if key in execution:
                 kwargs[key] = execution[key]
         return cls(**kwargs)
@@ -812,8 +810,8 @@ class ExperimentPlan:
                                     * len(self.grid_pairs) * self.trials)
         lines.append(f"  workload: ~{total_tasks} simulated tasks total")
         lines.append(f"  engine  : incremental={self.incremental} "
-                     f"scoring={self.scoring} numerics={self.numerics} "
-                     f"n_jobs={self.n_jobs} with_cost={self.with_cost}")
+                     f"numerics={self.numerics} n_jobs={self.n_jobs} "
+                     f"with_cost={self.with_cost}")
         if self.uncertainty != "none":
             lines.append(f"  uncertainty: {self.uncertainty} "
                          f"{dict(self.uncertainty_params) or ''}".rstrip())

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -50,10 +51,8 @@ from ..sim.perf import PerfStats
 from .runner import TrialSpec, build_system_for_trial
 
 __all__ = ["BenchCase", "BENCH_CASES", "run_perf_benchmark",
-           "run_sweep_benchmark", "run_crossover_benchmark",
-           "compare_to_baseline",
+           "run_sweep_benchmark", "compare_to_baseline",
            "format_bench_table", "format_sweep_table",
-           "format_crossover_table",
            "format_baseline_comparison", "write_bench_json",
            "bench_history", "format_bench_trend"]
 
@@ -69,9 +68,11 @@ class BenchCase:
       machinery; the historical core suite.
     * ``"scoring"`` -- the per-pair ``loop`` score-plane backend against
       the batched ``vector`` engine (both incremental); the mapping
-      suite.  The payload keeps the ``naive_s`` / ``incremental_s`` keys
-      (baseline = first backend, contender = second) so schemas stay
-      stable.
+      suite.  The loop side forces every window onto the loop by
+      rebinding :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`; the
+      vector side runs the default width rule.  The payload keeps the
+      ``naive_s`` / ``incremental_s`` keys (baseline = first backend,
+      contender = second) so schemas stay stable.
     * ``"stream"`` -- the streaming service driver
       (:class:`~repro.stream.service.StreamingSimulation`) pumping steady
       traffic to a scale-derived horizon, naive scheduler views against
@@ -137,25 +138,16 @@ BENCH_CASES: Tuple[BenchCase, ...] = (
 def _spec_for(case: BenchCase, scale: float, seed: int,
               baseline: bool) -> TrialSpec:
     """Spec of one timed run; ``baseline`` picks the case's reference side."""
-    numerics = "exact"
-    if case.compare == "scoring":
-        incremental = True
-        scoring = "loop" if baseline else "vector"
-    elif case.compare == "numerics":
-        incremental = True
-        scoring = "vector"
-        numerics = "exact" if baseline else "fast"
-    else:
-        incremental = not baseline
-        scoring = "vector"
+    incremental = case.compare in ("scoring", "numerics") or not baseline
+    numerics = ("fast" if case.compare == "numerics" and not baseline
+                else "exact")
     return TrialSpec(scenario_name=case.scenario, level=case.level,
                      scale=scale, gamma=case.gamma, queue_capacity=6,
                      seed=seed, mapper_name=case.mapper,
                      dropper_name=case.dropper,
                      dropper_params=case.dropper_params,
                      batch_window=case.batch_window,
-                     incremental=incremental, scoring=scoring,
-                     numerics=numerics,
+                     incremental=incremental, numerics=numerics,
                      topology_name=case.topology,
                      topology_params=case.topology_params)
 
@@ -202,6 +194,7 @@ def _timed_trial(case: BenchCase, scale: float, seed: int,
     or single-core machines (runs are seed-deterministic, so every repeat
     produces identical metrics).
     """
+    from ..mapping import kernel
     from ..workload.scenario import build_scenario
 
     if case.compare == "stream":
@@ -213,15 +206,21 @@ def _timed_trial(case: BenchCase, scale: float, seed: int,
                               queue_capacity=spec.queue_capacity)
     best = None
     metrics = None
-    for _ in range(max(1, int(repeats))):
-        rng = np.random.default_rng(spec.seed + 1_000_003)
-        system = build_system_for_trial(scenario, spec, rng)
-        start = time.perf_counter()
-        result = system.run()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-            metrics = collect_trial_metrics(result)
+    saved = kernel.SMALL_PLANE_TASKS
+    if case.compare == "scoring" and baseline:
+        kernel.SMALL_PLANE_TASKS = sys.maxsize  # every window on the loop
+    try:
+        for _ in range(max(1, int(repeats))):
+            rng = np.random.default_rng(spec.seed + 1_000_003)
+            system = build_system_for_trial(scenario, spec, rng)
+            start = time.perf_counter()
+            result = system.run()
+            elapsed = time.perf_counter() - start
+            if best is None or elapsed < best:
+                best = elapsed
+                metrics = collect_trial_metrics(result)
+    finally:
+        kernel.SMALL_PLANE_TASKS = saved
     return best, metrics
 
 
@@ -398,121 +397,6 @@ def run_sweep_benchmark(scale: float = 0.02, trials: int = 2,
         "total_trials": total_trials,
         "throughput_trials_per_s": total_trials / warm_s if warm_s > 0 else 0.0,
     }
-
-
-def run_crossover_benchmark(scale: float = 0.02, trials: int = 2,
-                            base_seed: int = 42, max_tasks: int = 8,
-                            repeats: int = 1) -> Dict[str, Any]:
-    """Measure the vector-vs-loop small-plane crossover on this platform.
-
-    The vector score-plane backend routes mapping events whose plane is at
-    most :data:`~repro.mapping.kernel.SMALL_PLANE_TASKS` tasks wide to the
-    per-pair loop path, because NumPy's batched kernels only amortise
-    their setup cost past some plane width -- and that width is a property
-    of the host BLAS/NumPy build, not of the workload.  This micro suite
-    measures it instead of trusting the pinned constant: for every plane
-    width ``w`` in ``1..max_tasks`` it runs the paper's headline
-    oversubscribed configuration with ``batch_window=w`` (heavy backlog
-    keeps the batch queue full, so planes sit at the cap) twice -- once
-    with ``small_plane_tasks`` forced above ``w`` (always the loop path)
-    and once forced to 0 (always the vector kernels) -- and reports the
-    largest width where the loop still wins.  That number is the
-    platform's measured ``SystemConfig.small_plane_tasks`` override; the
-    committed default documents the measurement on the reference machine.
-
-    Both sides run ``numerics="exact"``, so their metrics must match
-    bit-for-bit; a mismatch raises like the core suite's scoring cases.
-    """
-    from ..mapping.kernel import SMALL_PLANE_TASKS
-    from ..workload.scenario import build_scenario
-
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if max_tasks < 1:
-        raise ValueError("need at least one plane width")
-
-    def timed(spec: TrialSpec) -> Tuple[float, TrialMetrics]:
-        scenario = build_scenario(spec.scenario_name, level=spec.level,
-                                  scale=spec.scale, gamma=spec.gamma,
-                                  seed=spec.seed,
-                                  queue_capacity=spec.queue_capacity)
-        best = None
-        metrics = None
-        for _ in range(max(1, int(repeats))):
-            rng = np.random.default_rng(spec.seed + 1_000_003)
-            system = build_system_for_trial(scenario, spec, rng)
-            start = time.perf_counter()
-            result = system.run()
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-                metrics = collect_trial_metrics(result)
-        return best, metrics
-
-    widths: List[Dict[str, Any]] = []
-    for w in range(1, max_tasks + 1):
-        loop_s = 0.0
-        vector_s = 0.0
-        for k in range(trials):
-            base = dict(scenario_name="spec", level="40k", scale=scale,
-                        gamma=5.0, queue_capacity=6, seed=base_seed + k,
-                        mapper_name="PAM", dropper_name="react",
-                        batch_window=w, incremental=True, scoring="vector")
-            l_time, l_metrics = timed(
-                TrialSpec(small_plane_tasks=max_tasks + 1, **base))
-            v_time, v_metrics = timed(TrialSpec(small_plane_tasks=0, **base))
-            if l_metrics != v_metrics:
-                raise RuntimeError(
-                    f"crossover width {w} (seed {base_seed + k}): vector "
-                    f"kernel metrics diverged from the loop path")
-            loop_s += l_time
-            vector_s += v_time
-        widths.append({
-            "tasks": w,
-            "loop_s": loop_s,
-            "vector_s": vector_s,
-            "speedup": loop_s / vector_s if vector_s > 0 else 0.0,
-            "vector_wins": vector_s < loop_s,
-        })
-
-    # Recommended threshold: the largest width where the loop path still
-    # wins (every plane up to that width should take the fallback).  A
-    # vector win at every width measures as 0.
-    measured = 0
-    for entry in widths:
-        if not entry["vector_wins"]:
-            measured = entry["tasks"]
-    return {
-        "benchmark": "crossover",
-        "scale": scale,
-        "trials": trials,
-        "repeats": repeats,
-        "base_seed": base_seed,
-        "mapper": "PAM",
-        "level": "40k",
-        "gamma": 5.0,
-        "widths": widths,
-        "measured_small_plane_tasks": measured,
-        "pinned_default": SMALL_PLANE_TASKS,
-    }
-
-
-def format_crossover_table(payload: Dict[str, Any]) -> str:
-    """Aligned human-readable summary of a crossover benchmark payload."""
-    from .reporting import format_aligned_table
-
-    headers = ["plane_tasks", "loop_s", "vector_s", "loop/vector", "winner"]
-    rows = [[str(e["tasks"]), f"{e['loop_s']:.3f}", f"{e['vector_s']:.3f}",
-             f"{e['speedup']:.2f}x",
-             "vector" if e["vector_wins"] else "loop"]
-            for e in payload["widths"]]
-    return (format_aligned_table(headers, rows)
-            + f"\nmeasured small-plane threshold: "
-              f"{payload['measured_small_plane_tasks']} task(s) "
-              f"(pinned default {payload['pinned_default']}; override via "
-              f"SystemConfig.small_plane_tasks)")
 
 
 def compare_to_baseline(payload: Dict[str, Any], baseline: Dict[str, Any],

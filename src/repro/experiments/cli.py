@@ -77,11 +77,9 @@ the generic runner and the declarative plan workflow:
   gating on a committed baseline via ``--baseline``/``--max-regression``
   with per-case detection via ``--max-regression-case``, softened by
   ``--warn-only``); ``--suite sweep`` times the persistent-pool sweep
-  executor and records multi-process throughput; ``--suite crossover``
-  measures the vector-vs-loop small-plane threshold on this platform
-  (the measured ``SystemConfig.small_plane_tasks`` override); ``--trend``
-  renders the committed payload's speedup history across git commits as
-  an ASCII chart::
+  executor and records multi-process throughput; ``--trend`` renders the
+  committed payload's speedup history across git commits as an ASCII
+  chart::
 
       python -m repro bench --suite core --scale 0.05 --trials 2 \
           --output benchmarks/perf/BENCH_core.json
@@ -306,10 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "incremental scheduler views; sweep: persistent-pool "
                       "sweep executor) and optionally write its JSON payload")
     bench.add_argument("--suite", default="core",
-                       choices=["core", "sweep", "crossover"],
-                       help="benchmark suite to run (default: core; "
-                            "crossover measures the vector-vs-loop "
-                            "small-plane threshold on this platform)")
+                       choices=["core", "sweep"],
+                       help="benchmark suite to run (default: core)")
     bench.add_argument("--scale", type=float, default=None,
                        help="fraction of the paper's task counts (default "
                             "0.05 for core, 0.02 for sweep)")
@@ -725,8 +721,7 @@ def _command_bench(args: argparse.Namespace) -> int:
 
     from .bench import (bench_history, compare_to_baseline,
                         format_baseline_comparison, format_bench_table,
-                        format_bench_trend, format_crossover_table,
-                        format_sweep_table, run_crossover_benchmark,
+                        format_bench_trend, format_sweep_table,
                         run_perf_benchmark, run_sweep_benchmark,
                         write_bench_json)
 
@@ -743,15 +738,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             scale=args.scale if args.scale is not None else 0.02,
             trials=args.trials, n_jobs=args.jobs, base_seed=args.seed)
         formatted = format_sweep_table(payload)
-    elif args.suite == "crossover":
-        if args.baseline:
-            raise ValueError("--baseline applies to the core suite only")
-        if args.case:
-            raise ValueError("--case applies to the core suite only")
-        payload = run_crossover_benchmark(
-            scale=args.scale if args.scale is not None else 0.02,
-            trials=args.trials, base_seed=args.seed, repeats=args.repeats)
-        formatted = format_crossover_table(payload)
     else:
         if args.baseline and args.case:
             # A case subset's geomean is not comparable to the committed

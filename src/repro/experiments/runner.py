@@ -96,21 +96,11 @@ class TrialSpec:
         simulation core's incremental completion-PMF caches (default) or
         forces the naive full recomputation (used by the equivalence tests
         and the ``repro bench`` harness).
-    scoring:
-        Forwarded to :class:`~repro.sim.system.SystemConfig`: score-plane
-        backend of the two-phase mapping heuristics (``"vector"`` batched
-        NumPy engine, ``"loop"`` per-pair reference; identical results).
     numerics:
         Forwarded to :class:`~repro.sim.system.SystemConfig`: mapping-score
         arithmetic profile (``"exact"`` bit-identical to naive, ``"fast"``
         closed-form chance + batched FFT folds within a documented
         tolerance; requires ``incremental=True``).
-    small_plane_tasks:
-        Override of the vector backend's small-plane fallback threshold
-        (``None`` keeps the measured default,
-        :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`).  Used by the
-        ``repro bench --suite crossover`` micro-benchmark to force one
-        backend or the other at a pinned plane width.
     uncertainty_name / uncertainty_params:
         Unmodelled-delay injector from the
         :data:`repro.api.registries.UNCERTAINTY` registry, applied to every
@@ -126,6 +116,10 @@ class TrialSpec:
         data-transfer delays into every completion-time PMF
         (``"uniform"`` -- all machines at zero cost -- disables, the
         default).
+
+    The score-plane backend is not part of a trial: the window width of
+    each mapping call chooses it (see
+    :class:`~repro.sim.system.SystemConfig`).
     """
 
     scenario_name: str
@@ -142,9 +136,7 @@ class TrialSpec:
     mapper_params: Tuple[Tuple[str, object], ...] = ()
     scenario_params: Tuple[Tuple[str, object], ...] = ()
     incremental: bool = True
-    scoring: str = "vector"
     numerics: str = "exact"
-    small_plane_tasks: Optional[int] = None
     uncertainty_name: str = "none"
     uncertainty_params: Tuple[Tuple[str, object], ...] = ()
     faults_name: str = "none"
@@ -225,9 +217,7 @@ def build_system_for_trial(scenario: Scenario, spec: TrialSpec,
     config = SystemConfig(queue_capacity=spec.queue_capacity,
                           batch_window=spec.batch_window,
                           incremental=spec.incremental,
-                          scoring=spec.scoring,
-                          numerics=spec.numerics,
-                          small_plane_tasks=spec.small_plane_tasks)
+                          numerics=spec.numerics)
     system = HCSystem(machine_types=list(scenario.platform.machine_types),
                       machines=scenario.build_machines(),
                       task_types=list(scenario.task_types),

@@ -14,7 +14,7 @@ heuristics (MinMin, MSD, PAM) *declare* their scores as a :class:`ScoreSpec`
 shared :class:`TwoPhaseMappingHeuristic` skeleton; the declared plane is
 executed by one of the scoring backends in :mod:`repro.mapping.kernel`
 (the reference per-pair ``loop`` or the batched NumPy ``vector`` backend,
-selected by :attr:`MappingContext.scoring`).  Simpler ordering-based
+chosen by the window width).  Simpler ordering-based
 heuristics (FCFS, SJF, EDF) subclass :class:`OrderedMappingHeuristic`.
 """
 
@@ -45,11 +45,6 @@ __all__ = [
     "TwoPhaseMappingHeuristic",
     "OrderedMappingHeuristic",
 ]
-
-#: Scoring backends accepted by :class:`MappingContext` and
-#: :class:`~repro.sim.system.SystemConfig`.
-SCORING_BACKENDS = ("loop", "vector")
-
 
 @dataclass(frozen=True)
 class ScoreSpec:
@@ -218,9 +213,8 @@ class MappingContext:
     within the documented tolerance, while committed completion PMFs stay
     exact.
 
-    ``small_plane_tasks`` overrides the vector backend's small-plane
-    dispatch threshold (``None`` keeps the measured platform default,
-    :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`).
+    Which backend scores a call's plane is not a context setting: the
+    window width alone decides it (:func:`repro.mapping.kernel.plane_spec`).
     """
 
     def __init__(self, pet: PETMatrix, now: int, prune_eps: float = 1e-12,
@@ -228,8 +222,6 @@ class MappingContext:
                                              Tuple[PMF, PMF]]] = None,
                  folder: Optional[ChainFolder] = None,
                  memoize_scores: bool = False,
-                 scoring: str = "vector",
-                 small_plane_tasks: Optional[int] = None,
                  exec_view: Optional["EffectiveExecution"] = None):
         self.pet = pet
         #: Optional transfer-composed execution views
@@ -241,19 +233,11 @@ class MappingContext:
         self._exec_view = exec_view
         self.now = int(now)
         self.prune_eps = float(prune_eps)
-        #: Vector-dispatch threshold override (``None`` = kernel default).
-        self.small_plane_tasks = (None if small_plane_tasks is None
-                                  else int(small_plane_tasks))
         self._cache: Dict[Tuple[int, int, int], PMF] = {}
         self._shared = shared_cache
         if folder is not None and folder.prune_eps != self.prune_eps:
             folder = None  # a mismatched kernel would change pruning
         self._folder = folder
-        if scoring not in SCORING_BACKENDS:
-            raise ValueError(f"unknown scoring backend {scoring!r}; "
-                             f"expected one of {SCORING_BACKENDS}")
-        #: Backend declarative heuristics run their score plane on.
-        self.scoring = scoring
         #: Work counters of the scoring backends: per-pair score
         #: evaluations and selection rounds of this mapping event.  The
         #: simulator folds them into :class:`~repro.sim.perf.PerfStats`
@@ -526,8 +510,8 @@ class TwoPhaseMappingHeuristic(MappingHeuristic):
 
     Subclasses *declare* their scores as a :class:`ScoreSpec`
     (:attr:`score_spec`); the plane is then executed by the scoring backend
-    selected through :attr:`MappingContext.scoring` -- the per-pair
-    ``loop`` reference or the batched NumPy ``vector`` engine
+    the window width selects -- the per-pair ``loop`` reference for narrow
+    windows or the batched NumPy ``vector`` engine for wide ones
     (:mod:`repro.mapping.kernel`), which produce identical assignments.
     Legacy subclasses that instead override the imperative
     :meth:`phase1_score` / :meth:`phase2_score` callables keep working and
@@ -599,12 +583,12 @@ class OrderedMappingHeuristic(MappingHeuristic):
     :class:`ScoreSpec` is derived -- phase 1 minimises
     ``expected_completion`` (each task's machine choice), phase 2 the
     priority columns with a single global winner per round, which is
-    exactly the greedy take-the-most-urgent-task-next loop.  Under
-    ``scoring="vector"`` the declared plane runs on the batched engine of
-    :mod:`repro.mapping.kernel` (identical assignments bit-for-bit, pinned
-    alongside the two-phase heuristics in the equivalence grid); the loop
-    backend -- and any legacy subclass that overrides
-    :meth:`task_priority` -- keeps the historical greedy reference.
+    exactly the greedy take-the-most-urgent-task-next loop.  On windows
+    wide enough for the plane the declared spec runs on the batched engine
+    of :mod:`repro.mapping.kernel` (identical assignments bit-for-bit, pinned
+    alongside the two-phase heuristics in the equivalence grid); narrow
+    windows -- and any legacy subclass that overrides
+    :meth:`task_priority` -- keep the historical greedy reference.
     """
 
     #: Task-kind score-column names of the priority key, most significant
@@ -657,14 +641,10 @@ class OrderedMappingHeuristic(MappingHeuristic):
 
     def map_tasks(self, tasks: Sequence[TaskView], machines: Sequence[MachineState],
                   ctx: MappingContext) -> List[Assignment]:
-        from .kernel import SMALL_PLANE_TASKS, run_ordered_plane
+        from .kernel import plane_spec, run_ordered_plane
 
-        spec = self.score_spec
-        threshold = (ctx.small_plane_tasks if ctx.small_plane_tasks is not None
-                     else SMALL_PLANE_TASKS)
-        if (spec is not None and ctx.scoring == "vector"
-                and len(tasks) >= threshold
-                and not self._overrides_priority()):
+        spec = plane_spec(self.score_spec, self._overrides_priority(), tasks)
+        if spec is not None:
             return run_ordered_plane(spec, tasks, machines, ctx)
         ordered = sorted(tasks, key=lambda t: (self.task_priority(ctx, t), t.task_id))
         assignments: List[Assignment] = []

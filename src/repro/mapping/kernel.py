@@ -39,7 +39,8 @@ from .base import (Assignment, MachineState, MappingContext, ScoreSpec,
                    TaskView, TwoPhaseMappingHeuristic)
 
 __all__ = ["ScoreColumn", "SCORE_COLUMNS", "register_score_column",
-           "evaluate_columns", "run_two_phase", "run_ordered_plane"]
+           "evaluate_columns", "plane_spec", "run_two_phase",
+           "run_ordered_plane"]
 
 #: Column kinds understood by the vector backend (see :class:`ScoreColumn`).
 COLUMN_KINDS = ("appended_mean", "appended_chance", "task", "static_pair",
@@ -156,41 +157,42 @@ def _tiebreak_scalar(name: str, ctx: MappingContext, machine: MachineState,
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-#: Window sizes below this have no plane width worth vectorising: the
-#: vector engine dispatches them to the scalar loop (identical results;
-#: NumPy per-round overhead would dominate a narrow "plane").  The default
-#: is the *measured* vector-vs-loop crossover: ``repro bench --suite
-#: crossover`` times both backends over a sweep of forced window sizes on
-#: the current platform, and on the reference machine (min-of-2 timings,
-#: widths 1-14) the loop wins clearly up to ~9-task planes, the ratio
-#: crosses 1.0 around 10-13 (within run-to-run noise), and the vector
-#: engine wins from there up.  Override per run via
-#: ``SystemConfig.small_plane_tasks`` /
-#: :attr:`MappingContext.small_plane_tasks` when your platform's
-#: crossover measures differently.
+#: Window sizes below this have no plane width worth vectorising, so they
+#: run on the per-pair loop (identical results; NumPy per-round overhead
+#: would dominate a narrow "plane").  The value is the measured
+#: vector-vs-loop crossover: timing both backends over forced window
+#: widths 1-14 of PAM + react on spec 40k, gamma 5, on the reference
+#: machine (min-of-2 timings), the loop wins clearly up to ~9-task planes,
+#: the ratio crosses 1.0 around 10-13 (within run-to-run noise), and the
+#: vector engine wins from there up.  Tests and ``repro bench`` force one
+#: backend by rebinding this module constant (``sys.maxsize`` = always the
+#: loop, ``0`` = always the plane).
 SMALL_PLANE_TASKS = 10
+
+
+def plane_spec(spec: Optional[ScoreSpec], overridden: bool,
+               tasks: Sequence[TaskView]) -> Optional[ScoreSpec]:
+    """The spec a mapping call runs on the vector engine, or ``None``.
+
+    ``None`` sends the call to the per-pair loop.  The plane runs for a
+    declared ``spec`` without a legacy score/priority override (the engine
+    cannot see inside an arbitrary override) once the window holds at
+    least :data:`SMALL_PLANE_TASKS` tasks.  Both backends pick identical
+    assignments, so the window width is the whole choice.
+    """
+    if spec is None or overridden or len(tasks) < SMALL_PLANE_TASKS:
+        return None
+    return spec
 
 
 def run_two_phase(heuristic: TwoPhaseMappingHeuristic,
                   tasks: Sequence[TaskView],
                   machines: Sequence[MachineState],
                   ctx: MappingContext) -> List[Assignment]:
-    """Execute a two-phase heuristic on the backend selected by ``ctx``.
-
-    Declarative heuristics run on ``ctx.scoring``; legacy subclasses that
-    override the imperative score callables are pinned to the loop backend
-    (the vector engine cannot see inside an arbitrary override).  Degenerate
-    planes -- windows of fewer than :data:`SMALL_PLANE_TASKS` tasks -- are
-    dispatched to the loop backend even under ``"vector"``: both backends
-    pick identical assignments, and a one-row plane only pays NumPy
-    overhead.
-    """
-    spec = heuristic.score_spec
-    threshold = (ctx.small_plane_tasks if ctx.small_plane_tasks is not None
-                 else SMALL_PLANE_TASKS)
-    if (spec is not None and ctx.scoring == "vector"
-            and len(tasks) >= threshold
-            and not _overrides_scores(heuristic)):
+    """Execute a two-phase heuristic on the backend :func:`plane_spec` picks."""
+    spec = plane_spec(heuristic.score_spec, _overrides_scores(heuristic),
+                      tasks)
+    if spec is not None:
         return _map_vector(spec, tasks, machines, ctx)
     return _map_loop(heuristic, tasks, machines, ctx)
 

@@ -7,8 +7,7 @@ time.  Rounds repeat until machine queues are full or the batch window is
 exhausted (Section V-B-1).
 
 The scores are *declared* (:class:`~repro.mapping.base.ScoreSpec`) and
-executed by the scoring backend selected on the
-:class:`~repro.mapping.base.MappingContext` (see
+executed by the scoring backend the window width selects (see
 :mod:`repro.mapping.kernel`).
 """
 

@@ -6,8 +6,7 @@ task with the soonest deadline, breaking ties by the minimum expected
 completion time (Section V-B-2).
 
 The scores are *declared* (:class:`~repro.mapping.base.ScoreSpec`) and
-executed by the scoring backend selected on the
-:class:`~repro.mapping.base.MappingContext` (see
+executed by the scoring backend the window width selects (see
 :mod:`repro.mapping.kernel`).
 """
 

@@ -12,8 +12,7 @@ paper disables PAM's deferring and replaces its dropping with the mechanisms
 under study).
 
 The scores are *declared* (:class:`~repro.mapping.base.ScoreSpec`) and
-executed by the scoring backend selected on the
-:class:`~repro.mapping.base.MappingContext` (see
+executed by the scoring backend the window width selects (see
 :mod:`repro.mapping.kernel`).
 """
 

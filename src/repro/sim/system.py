@@ -74,15 +74,6 @@ class SystemConfig:
         results are exactly those of the naive recomputation; disabling it
         exists for equivalence testing and benchmarking, not as a semantic
         switch.
-    scoring:
-        Score-plane backend of the declarative two-phase mapping
-        heuristics (:mod:`repro.mapping.kernel`): ``"vector"`` (default)
-        evaluates the whole (task x machine) plane per round through the
-        batched NumPy engine, ``"loop"`` keeps the per-pair reference
-        loop.  Both produce identical assignments (the vector backend's
-        tie-break columns reproduce the loop's pick order bit-for-bit), so
-        like ``incremental`` this is a performance switch, not a semantic
-        one.
     numerics:
         Arithmetic profile of the mapping scores.  ``"exact"`` (default)
         keeps every score bit-identical to the naive reference.  ``"fast"``
@@ -93,11 +84,11 @@ class SystemConfig:
         (:data:`repro.core.completion.FAST_FOLD_SUP_NORM_TOL`); committed
         completion PMFs stay exact.  Requires ``incremental=True`` (the
         fast backends live on the run's fold kernel).
-    small_plane_tasks:
-        Override of the vector backend's small-plane dispatch threshold
-        (``None`` keeps the measured platform default,
-        :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`; measure your own
-        crossover with ``repro bench --suite crossover``).
+
+    There is no score-plane backend setting: each mapping call runs on the
+    per-pair loop or the batched vector engine by its window width alone
+    (:func:`repro.mapping.kernel.plane_spec`), and both pick identical
+    assignments.
     """
 
     queue_capacity: int = 6
@@ -106,9 +97,7 @@ class SystemConfig:
     prune_eps: float = 1e-12
     max_steps: int = 50_000_000
     incremental: bool = True
-    scoring: str = "vector"
     numerics: str = "exact"
-    small_plane_tasks: Optional[int] = None
 
     def __post_init__(self):
         if self.queue_capacity < 1:
@@ -117,9 +106,6 @@ class SystemConfig:
             raise ValueError("batch window must be at least 1")
         if self.prune_eps < 0:
             raise ValueError("prune_eps cannot be negative")
-        if self.scoring not in ("loop", "vector"):
-            raise ValueError(f"unknown scoring backend {self.scoring!r}; "
-                             "expected 'loop' or 'vector'")
         if self.numerics not in ("exact", "fast"):
             raise ValueError(f"unknown numerics profile {self.numerics!r}; "
                              "expected 'exact' or 'fast'")
@@ -127,9 +113,6 @@ class SystemConfig:
             raise ValueError("numerics='fast' requires incremental=True "
                              "(the fast backends live on the run's fold "
                              "kernel)")
-        if (self.small_plane_tasks is not None
-                and self.small_plane_tasks < 0):
-            raise ValueError("small_plane_tasks cannot be negative")
 
 
 @dataclass
@@ -676,8 +659,6 @@ class HCSystem:
         ctx = MappingContext(self.pet, now, self.config.prune_eps,
                              shared_cache=shared, folder=self._folder,
                              memoize_scores=self.config.incremental,
-                             scoring=self.config.scoring,
-                             small_plane_tasks=self.config.small_plane_tasks,
                              exec_view=self._exec_view)
         assignments = self.mapper.map_tasks(task_views, machine_states, ctx)
         self.perf.plane_evals += ctx.plane_evals

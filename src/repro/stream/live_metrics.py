@@ -265,6 +265,14 @@ class LiveMetrics:
         elif kind == "expired_batch":
             stats.drops_expired += 1
             self._batch_depth -= 1
+        elif kind == "requeued":
+            # A crash sent the task from its machine back to the batch queue.
+            self._backlog -= 1
+            self._batch_depth += 1
+        elif kind == "lost_in_crash":
+            # Counted as a reactive queue drop, like SimulationResult does.
+            stats.drops_reactive += 1
+            self._backlog -= 1
         elif kind == "mapping_event":
             stats.mapping_events += 1
         # Unknown kinds (future trace extensions) fall through untouched.

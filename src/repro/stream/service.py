@@ -98,10 +98,15 @@ class StreamSpec:
     metrics_window / metrics_decay:
         Tumbling-window length and EWMA factor of the live metrics.
     gamma / queue_capacity / batch_window / seed / scenario_params /
-    incremental / scoring / numerics:
+    incremental / numerics:
         As in :class:`~repro.experiments.runner.TrialSpec`.  Snapshots
         written before the ``numerics`` field existed restore as
         ``"exact"`` (the dataclass default), preserving their replay.
+
+    The serialized form also carries a fixed ``"scoring": "vector"``
+    entry.  The score-plane backend is no longer a setting (each mapping
+    call's window width chooses it), but stream plans and snapshots
+    written while it was keep their fingerprints and restore.
     """
 
     scenario_name: str = "spec"
@@ -124,7 +129,6 @@ class StreamSpec:
     topology_name: str = "uniform"
     topology_params: Tuple[Tuple[str, object], ...] = ()
     incremental: bool = True
-    scoring: str = "vector"
     numerics: str = "exact"
     metrics_window: int = 500
     metrics_decay: float = 0.2
@@ -170,6 +174,8 @@ class StreamSpec:
         for f in dataclass_fields(self):
             value = getattr(self, f.name)
             payload[f.name] = dict(value) if f.name.endswith("_params") else value
+            if f.name == "incremental":
+                payload["scoring"] = "vector"
         return payload
 
     @classmethod
@@ -180,13 +186,19 @@ class StreamSpec:
         a hand-edited snapshot or stream plan cannot silently drop a
         parameter.
         """
+        data = dict(payload)
+        scoring = data.pop("scoring", "vector")
+        if scoring != "vector":
+            raise ValueError(
+                f"StreamSpec 'scoring' must be 'vector', got {scoring!r}: "
+                f"the score-plane backend is chosen from the window width")
         known = {f.name for f in dataclass_fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(
                 f"unknown StreamSpec key(s) {', '.join(map(repr, unknown))}; "
                 f"accepted: {', '.join(sorted(known))}")
-        return cls(**dict(payload))
+        return cls(**data)
 
 
 class StreamingSimulation:
@@ -270,7 +282,6 @@ class StreamingSimulation:
         config = SystemConfig(queue_capacity=spec.queue_capacity,
                               batch_window=spec.batch_window,
                               incremental=spec.incremental,
-                              scoring=spec.scoring,
                               numerics=spec.numerics)
         self.system = HCSystem(
             machine_types=list(self.platform.machine_types),

@@ -65,8 +65,6 @@ class TestConstructionAndValidation:
         with pytest.raises(PlanError):
             tiny_plan(trials=0)
         with pytest.raises(PlanError):
-            tiny_plan(scoring="quantum")
-        with pytest.raises(PlanError):
             tiny_plan(confidence=1.5)
         with pytest.raises(PlanError):
             tiny_plan(n_jobs=0)
@@ -153,8 +151,7 @@ class TestRoundTrip:
                        "params": {"beta": 1.5, "eta": 3},
                        "label": "Heuristic(beta=1.5)"}],
             trials=3, base_seed=11, queue_capacity=4, batch_window=16,
-            confidence=0.9, with_cost=True, incremental=False,
-            scoring="loop", n_jobs=2,
+            confidence=0.9, with_cost=True, incremental=False, n_jobs=2,
             metrics=["robustness_pct", "makespan"])
 
     def test_dict_round_trip_idempotent(self, rich_plan):
@@ -268,7 +265,7 @@ class TestBuilderBridge:
         sim = (Simulation.scenario("homogeneous", level="20k", scale=TINY,
                                    num_machines=4)
                .mapper("MM").dropper("heuristic", beta=2.0)
-               .trials(2, base_seed=9).scoring("loop").incremental(False)
+               .trials(2, base_seed=9).incremental(False)
                .with_cost())
         plan = sim.build_plan()
         assert plan.cells()[0].specs == sim.build_specs()

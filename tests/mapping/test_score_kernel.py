@@ -4,8 +4,10 @@ The vector backend must reproduce the loop backend's assignments exactly --
 same pairs, same order -- on every heuristic and any plane shape, because
 the simulator's equivalence guarantee (``tests/sim/test_equivalence.py``)
 rests on the two backends being interchangeable.  These tests pin that
-property at the unit level on randomised planes, plus the pluggability of
-score columns and the legacy escape hatch for imperative subclasses.
+property at the unit level on randomised planes (calling each backend
+directly), the window-width rule that picks a backend, plus the
+pluggability of score columns and the legacy escape hatch for imperative
+subclasses.
 """
 
 import numpy as np
@@ -13,12 +15,13 @@ import pytest
 
 from repro.core.pet import PETMatrix
 from repro.core.pmf import PMF
-from repro.mapping import MSD, PAM, MinMin
+from repro.mapping import EDF, MSD, PAM, MinMin
 from repro.mapping.base import (MachineState, MappingContext, ScoreSpec,
                                 TaskView, TwoPhaseMappingHeuristic)
 from repro.mapping.kernel import (SCORE_COLUMNS, SMALL_PLANE_TASKS,
-                                  _lex_argmin_1d, _lex_argmin_rows,
-                                  evaluate_columns, register_score_column)
+                                  _lex_argmin_1d, _lex_argmin_rows, _map_loop,
+                                  _map_vector, evaluate_columns,
+                                  register_score_column)
 
 
 def random_pet(rng, task_types, machine_types):
@@ -57,10 +60,11 @@ def random_plane(rng, num_tasks, num_machines, task_types, machine_types):
 
 
 def run_both(heuristic, pet, tasks, machines):
-    loop_ctx = MappingContext(pet, now=0, scoring="loop")
-    loop = heuristic.map_tasks(tasks, machines(), loop_ctx)
-    vector_ctx = MappingContext(pet, now=0, scoring="vector")
-    vector = heuristic.map_tasks(tasks, machines(), vector_ctx)
+    """Map one plane on each backend directly, whatever its width."""
+    loop_ctx = MappingContext(pet, now=0)
+    loop = _map_loop(heuristic, tasks, machines(), loop_ctx)
+    vector_ctx = MappingContext(pet, now=0)
+    vector = _map_vector(heuristic.score_spec, tasks, machines(), vector_ctx)
     return loop, vector, loop_ctx, vector_ctx
 
 
@@ -86,8 +90,9 @@ class TestScoreSpec:
                                  tail_pmf=PMF.delta(0))]
         tasks = [TaskView(task_id=0, type_id=0, arrival=0, deadline=50)]
         with pytest.raises(KeyError, match="no_such_column"):
-            Bogus().map_tasks(tasks, machines,
-                              MappingContext(pet, now=0, scoring="vector"))
+            Bogus().map_tasks(tasks, machines, MappingContext(pet, now=0))
+        with pytest.raises(KeyError, match="no_such_column"):
+            _map_vector(spec, tasks, machines, MappingContext(pet, now=0))
 
     def test_spec_syncs_assign_per_machine(self):
         assert MinMin.assign_per_machine is True
@@ -160,16 +165,49 @@ class TestBackendEquality:
         assert vector_ctx.plane_evals <= loop_ctx.plane_evals
 
     def test_small_planes_dispatch_identically(self, monkeypatch):
-        # Below the dispatch threshold the vector backend hands over to the
-        # loop; forcing the vector engine instead must not change anything.
+        # Below the dispatch threshold a window runs on the loop; forcing
+        # the vector engine instead must not change anything.
         rng = np.random.default_rng(4)
         pet, tasks, machines = random_plane(rng, num_tasks=2, num_machines=3,
                                             task_types=2, machine_types=2)
+        dispatched = MSD().map_tasks(tasks, machines(),
+                                     MappingContext(pet, now=0))
         loop, vector, _, _ = run_both(MSD(), pet, tasks, machines)
-        assert loop == vector
+        assert dispatched == loop == vector
         monkeypatch.setattr("repro.mapping.kernel.SMALL_PLANE_TASKS", 0)
-        _, forced, _, _ = run_both(MSD(), pet, tasks, machines)
+        forced = MSD().map_tasks(tasks, machines(),
+                                 MappingContext(pet, now=0))
         assert forced == loop
+
+    @pytest.mark.parametrize("heuristic_cls", [PAM, EDF])
+    def test_window_width_picks_backend(self, heuristic_cls):
+        # A window one task short of SMALL_PLANE_TASKS runs on the loop,
+        # a window of exactly SMALL_PLANE_TASKS on the plane.  The plane
+        # counters tell the two apart: the ordered heuristics' greedy loop
+        # never touches them, and the two-phase loop counts its per-round
+        # re-scoring differently from the plane's column fills.
+        rng = np.random.default_rng(10)
+        pet, tasks, machines = random_plane(
+            rng, num_tasks=SMALL_PLANE_TASKS, num_machines=4, task_types=2,
+            machine_types=2)
+        for width, on_plane in ((SMALL_PLANE_TASKS - 1, False),
+                                (SMALL_PLANE_TASKS, True)):
+            window = tasks[:width]
+            ctx = MappingContext(pet, now=0)
+            heuristic_cls().map_tasks(window, machines(), ctx)
+            if heuristic_cls is EDF:
+                assert (ctx.plane_rounds > 0) is on_plane
+                continue
+            loop_ctx = MappingContext(pet, now=0)
+            _map_loop(heuristic_cls(), window, machines(), loop_ctx)
+            plane_ctx = MappingContext(pet, now=0)
+            _map_vector(heuristic_cls.score_spec, window, machines(),
+                        plane_ctx)
+            def counts(c):
+                return c.plane_rounds, c.plane_evals
+
+            assert counts(loop_ctx) != counts(plane_ctx)
+            assert counts(ctx) == counts(plane_ctx if on_plane else loop_ctx)
 
 
 class TestPluggability:
@@ -223,7 +261,7 @@ class TestPluggability:
         with pytest.raises(ValueError, match="column kind"):
             register_score_column("bad", lambda *a: 0.0, kind="galaxy")
 
-    def test_legacy_imperative_subclass_runs_on_loop(self):
+    def test_legacy_imperative_subclass_runs_on_loop(self, monkeypatch):
         class Legacy(TwoPhaseMappingHeuristic):
             name = "LEGACY"
             assign_per_machine = True
@@ -237,11 +275,32 @@ class TestPluggability:
         rng = np.random.default_rng(7)
         pet, tasks, machines = random_plane(rng, num_tasks=8, num_machines=3,
                                             task_types=2, machine_types=2)
-        legacy = Legacy()
-        loop, vector, _, _ = run_both(legacy, pet, tasks, machines)
-        assert loop == vector  # vector request silently runs the loop
-        reference, _, _, _ = run_both(MinMin(), pet, tasks, machines)
-        assert loop == reference  # same scores as the declarative MinMin
+        # Even a window the width rule would send to the plane runs the
+        # legacy scores on the loop, with the declarative MinMin's result.
+        monkeypatch.setattr("repro.mapping.kernel.SMALL_PLANE_TASKS", 0)
+        legacy = Legacy().map_tasks(tasks, machines(),
+                                    MappingContext(pet, now=0))
+        loop, vector, _, _ = run_both(MinMin(), pet, tasks, machines)
+        assert legacy == loop == vector
+
+    def test_override_of_a_declared_spec_runs_on_loop(self, monkeypatch):
+        class Latest(MinMin):
+            # A phase-1 score the inherited spec does not describe: prefer
+            # the machine that finishes last.
+            def phase1_score(self, ctx, machine, task):
+                return -ctx.expected_completion(machine, task)
+
+        rng = np.random.default_rng(11)
+        pet, tasks, machines = random_plane(rng, num_tasks=12, num_machines=4,
+                                            task_types=2, machine_types=2)
+        monkeypatch.setattr("repro.mapping.kernel.SMALL_PLANE_TASKS", 0)
+        got = Latest().map_tasks(tasks, machines(),
+                                 MappingContext(pet, now=0))
+        expected = _map_loop(Latest(), tasks, machines(),
+                             MappingContext(pet, now=0))
+        declared = MinMin().map_tasks(tasks, machines(),
+                                      MappingContext(pet, now=0))
+        assert got == expected and got != declared
 
     def test_spec_evaluation_matches_column_scalars(self):
         pet = random_pet(np.random.default_rng(8), 2, 2)

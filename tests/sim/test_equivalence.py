@@ -6,15 +6,21 @@ recomputation would see, so a cached run must produce *exactly* the metrics
 of the naive run -- same robustness report, same drop breakdown, same
 makespan, same mapping-event count -- on every scenario/mapper/dropper/seed
 combination.  The same holds along the *scoring* axis: the vectorised
-score-plane backend (``SystemConfig.scoring="vector"``) must reproduce the
-per-pair loop backend's assignments bit-for-bit.  These tests pin both
-guarantees on the tier-1 grid used throughout the suite (tiny scale,
-multiple levels, every dropper family).
+score-plane backend must reproduce the per-pair loop backend's assignments
+bit-for-bit.  The window width picks the backend, so these tests force one
+side by rebinding :data:`repro.mapping.kernel.SMALL_PLANE_TASKS`
+(:data:`LOOP` sends every window to the loop, :data:`PLANE` every
+multi-task window to the vector engine).  They pin both guarantees on the
+tier-1 grid used throughout the suite (tiny scale, multiple levels, every
+dropper family).
 """
+
+import sys
 
 import pytest
 
 from repro.experiments.runner import TrialSpec, run_trial
+from repro.mapping.kernel import SMALL_PLANE_TASKS
 
 SCALE = 0.002  # ~40-60 tasks per trial: fast but heavily oversubscribed.
 
@@ -51,15 +57,24 @@ ORDERED_WIDE_GRID = [
 ]
 
 
+#: Dispatch thresholds forcing one side of the width rule.
+LOOP = sys.maxsize
+PLANE = 2
+
+
 def _spec(level, mapper, dropper, dropper_params, seed, incremental,
-          scoring="vector", gamma=1.0, batch_window=32, queue_capacity=6,
-          small_plane_tasks=None):
+          gamma=1.0, batch_window=32, queue_capacity=6):
     return TrialSpec(scenario_name="spec", level=level, scale=SCALE,
                      gamma=gamma, queue_capacity=queue_capacity, seed=seed,
                      mapper_name=mapper, dropper_name=dropper,
                      dropper_params=dropper_params, incremental=incremental,
-                     scoring=scoring, batch_window=batch_window,
-                     small_plane_tasks=small_plane_tasks)
+                     batch_window=batch_window)
+
+
+def _run(monkeypatch, spec, threshold=SMALL_PLANE_TASKS):
+    """``run_trial`` with the score-plane dispatch threshold rebound."""
+    monkeypatch.setattr("repro.mapping.kernel.SMALL_PLANE_TASKS", threshold)
+    return run_trial(spec)
 
 
 @pytest.mark.parametrize("level,mapper,dropper,dropper_params,seed", GRID)
@@ -81,13 +96,13 @@ def test_incremental_metrics_bit_identical(level, mapper, dropper,
 
 
 @pytest.mark.parametrize("level,mapper,dropper,dropper_params,seed", GRID)
-def test_vector_scoring_bit_identical(level, mapper, dropper,
+def test_vector_scoring_bit_identical(monkeypatch, level, mapper, dropper,
                                       dropper_params, seed):
     """The vector==loop axis of the equivalence grid (incremental on)."""
-    loop = run_trial(_spec(level, mapper, dropper, dropper_params, seed,
-                           incremental=True, scoring="loop"))
-    vector = run_trial(_spec(level, mapper, dropper, dropper_params, seed,
-                             incremental=True, scoring="vector"))
+    spec = _spec(level, mapper, dropper, dropper_params, seed,
+                 incremental=True)
+    loop = _run(monkeypatch, spec, LOOP)
+    vector = _run(monkeypatch, spec)
     assert loop == vector
     assert loop.robustness == vector.robustness
     assert loop.drops == vector.drops
@@ -97,23 +112,23 @@ def test_vector_scoring_bit_identical(level, mapper, dropper,
 
 @pytest.mark.parametrize("level,mapper,dropper,dropper_params,seed",
                          WIDE_GRID)
-def test_vector_scoring_bit_identical_wide_windows(level, mapper, dropper,
-                                                   dropper_params, seed):
+def test_vector_scoring_bit_identical_wide_windows(monkeypatch, level, mapper,
+                                                   dropper, dropper_params,
+                                                   seed):
     """Same axis on backlogged workloads with genuinely wide score planes.
 
     Relaxed deadlines plus short machine queues back the batch queue up at
     this tiny scale, so mapping events see multi-row planes instead of the
     single-task windows the tight grid produces.
     """
-    kwargs = dict(gamma=4.0, batch_window=64, queue_capacity=2)
-    loop = run_trial(_spec(level, mapper, dropper, dropper_params, seed,
-                           incremental=True, scoring="loop", **kwargs))
-    # ``small_plane_tasks=2``: force every multi-task window onto the
-    # vector engine so the pin is independent of the platform-measured
-    # dispatch default (``SMALL_PLANE_TASKS``).
-    vector = run_trial(_spec(level, mapper, dropper, dropper_params, seed,
-                             incremental=True, scoring="vector",
-                             small_plane_tasks=2, **kwargs))
+    spec = _spec(level, mapper, dropper, dropper_params, seed,
+                 incremental=True, gamma=4.0, batch_window=64,
+                 queue_capacity=2)
+    loop = _run(monkeypatch, spec, LOOP)
+    # ``PLANE``: force every multi-task window onto the vector engine so
+    # the pin is independent of the measured dispatch default
+    # (``SMALL_PLANE_TASKS``).
+    vector = _run(monkeypatch, spec, PLANE)
     assert loop == vector
     # The wide plane must actually have been vectorised, not dispatched to
     # the loop wholesale: the backends count plane work differently (the
@@ -125,8 +140,9 @@ def test_vector_scoring_bit_identical_wide_windows(level, mapper, dropper,
 
 @pytest.mark.parametrize("level,mapper,dropper,dropper_params,seed",
                          ORDERED_WIDE_GRID)
-def test_ordered_heuristics_vector_bit_identical(level, mapper, dropper,
-                                                 dropper_params, seed):
+def test_ordered_heuristics_vector_bit_identical(monkeypatch, level, mapper,
+                                                 dropper, dropper_params,
+                                                 seed):
     """FCFS/SJF/EDF declared specs == greedy reference, on real planes.
 
     Relaxed deadlines and short queues back the batch queue up into
@@ -134,15 +150,14 @@ def test_ordered_heuristics_vector_bit_identical(level, mapper, dropper,
     vector engine (the loop side never touches the plane, so its round
     counter stays at zero).
     """
-    kwargs = dict(gamma=4.0, batch_window=64, queue_capacity=2)
-    loop = run_trial(_spec(level, mapper, dropper, dropper_params, seed,
-                           incremental=True, scoring="loop", **kwargs))
+    spec = _spec(level, mapper, dropper, dropper_params, seed,
+                 incremental=True, gamma=4.0, batch_window=64,
+                 queue_capacity=2)
+    loop = _run(monkeypatch, spec, LOOP)
     # Force the vector engine on every multi-task window (see the wide
     # two-phase grid above) -- the pin must not depend on the measured
     # dispatch default.
-    vector = run_trial(_spec(level, mapper, dropper, dropper_params, seed,
-                             incremental=True, scoring="vector",
-                             small_plane_tasks=2, **kwargs))
+    vector = _run(monkeypatch, spec, PLANE)
     assert loop == vector
     assert loop.robustness == vector.robustness
     assert loop.drops == vector.drops
@@ -151,13 +166,14 @@ def test_ordered_heuristics_vector_bit_identical(level, mapper, dropper,
     assert loop.perf.plane_rounds == 0
 
 
-@pytest.mark.parametrize("scoring", ["loop", "vector"])
-def test_naive_path_matches_each_backend(scoring):
+@pytest.mark.parametrize("threshold", [LOOP, SMALL_PLANE_TASKS],
+                         ids=["loop", "vector"])
+def test_naive_path_matches_each_backend(monkeypatch, threshold):
     """Cross-check: scoring and incremental axes compose."""
-    naive = run_trial(_spec("30k", "PAM", "heuristic", (), 42,
-                            incremental=False, scoring=scoring))
-    fast = run_trial(_spec("30k", "PAM", "heuristic", (), 42,
-                           incremental=True, scoring=scoring))
+    naive = _run(monkeypatch, _spec("30k", "PAM", "heuristic", (), 42,
+                                    incremental=False), threshold)
+    fast = _run(monkeypatch, _spec("30k", "PAM", "heuristic", (), 42,
+                                   incremental=True), threshold)
     assert naive == fast
 
 
@@ -213,7 +229,7 @@ def _fast_spec(level, mapper, dropper, dropper_params, uncertainty,
                uncertainty_params, faults, fault_params, seed, numerics,
                **kwargs):
     spec = _spec(level, mapper, dropper, dropper_params, seed,
-                 incremental=True, scoring="vector", **kwargs)
+                 incremental=True, **kwargs)
     from dataclasses import replace
     return replace(spec, numerics=numerics, uncertainty_name=uncertainty,
                    uncertainty_params=uncertainty_params, faults_name=faults,

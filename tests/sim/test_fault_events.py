@@ -149,8 +149,8 @@ def _spec(faults_name="none", fault_params=(), incremental=True, seed=42,
     return TrialSpec(scenario_name="spec", level=level, scale=SCALE,
                      gamma=1.0, queue_capacity=6, seed=seed,
                      mapper_name=mapper, dropper_name=dropper,
-                     incremental=incremental, scoring="vector",
-                     batch_window=32, faults_name=faults_name,
+                     incremental=incremental, batch_window=32,
+                     faults_name=faults_name,
                      fault_params=fault_params)
 
 

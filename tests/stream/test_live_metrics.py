@@ -1,8 +1,11 @@
 """Tests of the tumbling-window / EWMA live-metrics observer."""
 
+import json
+
 import pytest
 
 from repro.sim.trace import TraceRecord
+from repro.stream import StreamingSimulation, StreamSpec
 from repro.stream.live_metrics import LiveMetrics, MetricsTimeline, WindowStats
 
 
@@ -64,6 +67,18 @@ class TestWindowing:
         assert closed.completions == 1 and closed.on_time == 1
         assert closed.drops_expired == 1
         assert closed.batch_depth_end == 0 and closed.backlog_end == 0
+
+    def test_crash_records_move_tasks_off_machines(self):
+        live = LiveMetrics(window=100)
+        for t in (10, 11):
+            live.record(rec(t, "arrival"))
+            live.record(rec(t, "mapped"))
+        live.record(rec(20, "requeued"))
+        assert live.batch_depth == 1 and live.backlog == 1
+        live.record(rec(20, "lost_in_crash"))
+        assert live.batch_depth == 1 and live.backlog == 0
+        live.advance_to(100)
+        assert live.timeline().windows[0].drops_reactive == 1
 
     def test_unknown_kind_is_ignored(self):
         live = LiveMetrics(window=100)
@@ -187,3 +202,34 @@ class TestStateRoundTrip:
             LiveMetrics(window=100, decay=0.0)
         with pytest.raises(ValueError):
             LiveMetrics(window=100, decay=1.5)
+
+
+class TestCrashChurn:
+    """The depth counters agree with the system under crash/restart churn,
+    whether crashed machines requeue their tasks or lose them."""
+
+    @staticmethod
+    def _assert_depths_match(service):
+        system = service.system
+        assert service.live.batch_depth == len(system.batch_queue)
+        assert service.live.backlog == sum(m.occupancy
+                                           for m in system.machines)
+
+    @pytest.mark.parametrize("policy", ["requeue", "drop"])
+    def test_depths_track_the_system(self, policy):
+        spec = StreamSpec(traffic_name="burst", seed=1,
+                          faults_name="crash-restart",
+                          fault_params={"mtbf": 400.0, "repair_mean": 100.0,
+                                        "policy": policy})
+        service = StreamingSimulation(spec)
+        for span in range(20):
+            service.run_for(500)
+            self._assert_depths_match(service)
+            if span == 9:
+                payload = json.loads(json.dumps(service.snapshot()))
+                service = StreamingSimulation.restore(payload)
+                self._assert_depths_match(service)
+        system = service.system
+        moved = (system.num_requeued_tasks if policy == "requeue"
+                 else system.num_crash_lost)
+        assert moved > 0
