@@ -56,6 +56,7 @@ __all__ = [
     "chance_of_success",
     "NUMERICS_PROFILES",
     "FAST_FOLD_SUP_NORM_TOL",
+    "mass_bound_slack",
 ]
 
 #: Recognised numerics profiles; ``exact`` reproduces the naive arithmetic
@@ -72,6 +73,31 @@ NUMERICS_PROFILES = ("exact", "fast")
 #: of magnitude of headroom for long chains; it is pinned by the fast
 #: equivalence grid in ``tests/core`` and ``tests/sim``.
 FAST_FOLD_SUP_NORM_TOL = 1e-9
+
+#: Unit roundoff of IEEE float64 (half the machine epsilon).
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def mass_bound_slack(terms: int, steps: int) -> float:
+    """Relative inflation that makes a float mass bound safe to compare.
+
+    The pruning bounds of the dropper and of PAM's phase 1 compare a bound
+    ``B`` computed in floats against chances computed in floats.  In exact
+    arithmetic on the stored arrays the chance never exceeds the bound; in
+    floats each side drifts.  A float sum of at most ``n`` non-negative
+    terms -- a convolution bin, a ``mass_before``, a ``total_mass`` -- is
+    within a factor ``1 + γ_n`` (``γ_n = n·u / (1 − n·u)``, any summation
+    order; Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2)
+    of its exact value, and a single product or mixture addition within
+    ``1 + u``.  With every reduction over at most ``terms`` values and at
+    most ``steps`` such factors between the two sides, the float chance is
+    at most ``(1 + γ_terms)^steps ≤ exp(1.12·steps·terms·u)`` times the
+    float bound; the returned ``1 + 4·steps·terms·u`` dominates that
+    whenever ``steps·terms·u ≤ 0.1``, i.e. for any support the simulator
+    can hold in memory.  Pruning (zeroing bins below ``prune_eps``) only
+    removes mass, so it never widens the gap.
+    """
+    return 1.0 + 4.0 * steps * terms * _UNIT_ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -199,9 +225,9 @@ class ChainFolder:
     keep strong references to their key PMFs so the ids stay valid, and the
     validated identity check makes a stale-id collision impossible.  Because
     PMFs are hash-consed, semantically repeated folds -- the dropping
-    heuristic re-walking a queue, machines of the same type evaluating the
-    same candidate task, an unchanged queue revisited at a later event --
-    collapse into dictionary hits.
+    heuristic walking a queue it walked at an earlier event, machines of
+    the same type evaluating the same candidate task, an unchanged queue
+    revisited at a later event -- collapse into dictionary hits.
 
     ``numerics`` selects the score-plane arithmetic profile.  Under the
     default ``"exact"`` every fold is bit-identical to the naive composed
@@ -252,7 +278,7 @@ class ChainFolder:
         self._rev: Dict[int, Tuple[PMF, np.ndarray]] = {}
         #: (id(pmf), deadline) -> (pmf, mass_before(deadline)); the dropping
         #: heuristic queries the same chance of success for the same chain
-        #: PMF many times while re-walking influence zones.
+        #: PMF again whenever it walks a queue prefix it walked before.
         self._chance_memo: Dict[Tuple[int, int], Tuple[PMF, float]] = {}
         #: id(pmf) -> (pmf, mean); the mapping score plane asks for the
         #: expected completion of the same (memoised, identity-stable)
@@ -334,7 +360,7 @@ class ChainFolder:
         """Memoised, scratch-backed equivalent of :func:`completion_pmf`.
 
         The memo is adaptive like publication interning: workloads whose
-        folds rarely repeat (no proactive dropper re-walking queues) would
+        folds rarely repeat (no proactive dropper revisiting queues) would
         pay an entry allocation per fold for nothing, so once the hit rate
         over :data:`MEMO_WINDOW` probes falls below
         :data:`MEMO_MIN_HIT_RATE` the folder stops storing and folds
@@ -857,8 +883,9 @@ def chance_of_success(completion: PMF, deadline: int) -> float:
 
     Served from the installed :class:`ChainFolder`'s memo when one is
     active: chain PMFs are identity-stable (memoised folds return the same
-    object), so the repeated queries issued by the dropping heuristic while
-    re-walking a queue collapse into dictionary hits.
+    object), so the repeated queries issued by the dropping heuristic when
+    it walks a queue prefix again at a later event collapse into dictionary
+    hits.
     """
     folder = _ACTIVE_FOLDER
     if folder is not None:

@@ -64,7 +64,8 @@ class DropDecision:
     ----------
     drop_indices:
         Positions (into ``MachineQueueView.entries``) to drop proactively,
-        in ascending order.
+        stored in ascending order.  Negative or repeated positions are
+        rejected; the simulator rejects positions past the queue's end.
     robustness_before:
         Instantaneous robustness of the queue if nothing is dropped, when the
         policy computed it (``nan`` otherwise).
@@ -78,7 +79,13 @@ class DropDecision:
     robustness_after: float = float("nan")
 
     def __post_init__(self):
-        object.__setattr__(self, "drop_indices", tuple(sorted(int(i) for i in self.drop_indices)))
+        indices = tuple(sorted(int(i) for i in self.drop_indices))
+        if indices and indices[0] < 0:
+            raise ValueError(f"negative drop index {indices[0]}")
+        for a, b in zip(indices, indices[1:]):
+            if a == b:
+                raise ValueError(f"duplicate drop index {a}")
+        object.__setattr__(self, "drop_indices", indices)
 
     @property
     def num_drops(self) -> int:

@@ -13,13 +13,41 @@ any net improvement, ``β → ∞`` disables proactive dropping.
 Unlike prior threshold-based pruning mechanisms, no user-supplied chance-of-
 success threshold is involved: the decision is autonomous and derives solely
 from the robustness comparison.
+
+One pass
+--------
+The walk folds each Eq. 1 chain PMF once and carries ``(pmf, chance)``
+pairs forward.  The *kept window* of position ``i`` -- positions
+``i..i+η`` folded from the survivor chain ahead of ``i`` -- is the kept
+window of ``i − 1`` shifted by one when ``i − 1`` survives, and the *drop
+window* of ``i − 1`` (positions ``i..`` folded with ``i − 1`` skipped) when
+it is dropped; either way one new fold extends it.  The survivor chances
+of the pass sum to ``robustness_after``.  ``robustness_before`` is the same
+sum until the first drop; only then does the pass fold the rest of the
+undropped chain.  Every sum adds the same floats in the same order as the
+paper-literal evaluation, so decisions and reported values are identical.
+
+Mass bound
+----------
+The drop window of ``i`` is only folded as far as it can still change the
+decision.  One Eq. 1 fold has mass ``m_on·mass(exec) + m_late ≤
+mass(prev)·max(1, mass(exec))`` (the on-time branch is convolved, the late
+branch passes through), and a chance of success is at most its PMF's mass,
+so the chance of window position ``n`` is at most
+``mass(prefix)·Π_{m=i+1}^{n} max(1, mass(exec_m))``.  Once the drop chances
+folded so far plus these bounds for the rest cannot exceed ``β`` times the
+keep score (with the rounding slack of
+:func:`~repro.core.completion.mass_bound_slack`), task ``i`` is provably
+kept and the window is abandoned.  Execution masses may exceed one by up to
+``MASS_TOLERANCE``, hence the ``max(1, ·)`` rather than an assumed ``≤ 1``.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence, Tuple
 
-from ..completion import QueueEntry, chance_of_success, completion_pmf
+from ..completion import (QueueEntry, chance_of_success, completion_pmf,
+                          mass_bound_slack)
 from ..pmf import PMF
 from .base import DropDecision, DroppingPolicy, MachineQueueView
 
@@ -75,73 +103,112 @@ class ProactiveHeuristicDropping(DroppingPolicy):
         surviving predecessors only, mirroring an actual removal from the
         machine queue.
         """
-        entries = list(view.entries)
+        entries = view.entries
         q = len(entries)
         if q == 0:
             return DropDecision(drop_indices=())
-
-        robustness_before = self._queue_robustness(view.base_pmf, entries)
+        eps = self.prune_eps
+        growth = [max(1.0, entry.exec_pmf.total_mass) for entry in entries]
+        exec_terms = sum(entry.exec_pmf.probs.size for entry in entries)
 
         dropped: List[int] = []
         # ``prefix`` is the completion PMF of the last surviving task ahead of
-        # the position currently being examined.
+        # position ``i``; ``kept_*`` hold the kept window of ``i`` folded
+        # from it so far.
         prefix = view.base_pmf
+        kept_pmfs: List[PMF] = []
+        kept_chances: List[float] = []
+        after = 0.0
+        before: Optional[float] = None
         for i in range(q):
+            window_end = min(i + self.eta, q - 1)
+            prev = kept_pmfs[-1] if kept_pmfs else prefix
+            for n in range(i + len(kept_pmfs), window_end + 1):
+                entry = entries[n]
+                prev = completion_pmf(prev, entry.exec_pmf, entry.deadline, eps)
+                kept_pmfs.append(prev)
+                kept_chances.append(chance_of_success(prev, entry.deadline))
             # The last task of a queue has an empty influence zone: dropping
             # it can never improve instantaneous robustness, so it is skipped
             # (Section IV-D).
             if i == q - 1:
+                after += kept_chances[0]
                 break
-            window_end = min(i + self.eta, q - 1)
-
-            # Chances of success of tasks i..window_end when i is kept.
-            kept_probs = self._window_probs(prefix, entries, i, window_end,
-                                            skip=None)
-            # Chances of success of tasks i+1..window_end when i is dropped.
-            drop_probs = self._window_probs(prefix, entries, i, window_end,
-                                            skip=i)
-
-            keep_score = sum(kept_probs)          # Σ_{n=i}^{i+η} p_{nj}
-            drop_score = sum(drop_probs[1:])      # Σ_{n=i+1}^{i+η} p^{(i)}_{nj}
-
-            if drop_score > self.beta * keep_score:
+            # Σ_{n=i}^{i+η} p_{nj} against Σ_{n=i+1}^{i+η} p^{(i)}_{nj}.
+            limit = self.beta * sum(kept_chances)
+            window = self._drop_window(prefix, entries, i + 1, window_end,
+                                       limit, growth, exec_terms)
+            if window is not None and window[2] > limit:
+                if before is None:
+                    before = self._finish_chain(after, kept_pmfs[-1],
+                                                kept_chances,
+                                                entries[window_end + 1:])
                 dropped.append(i)
-                # prefix unchanged: task i vanishes from the chain.
+                # prefix unchanged: task i vanishes from the chain, and its
+                # drop window is the kept window of i + 1.
+                kept_pmfs, kept_chances = window[0], window[1]
             else:
-                prefix = completion_pmf(prefix, entries[i].exec_pmf,
-                                        entries[i].deadline, self.prune_eps)
+                after += kept_chances[0]
+                prefix = kept_pmfs[0]
+                kept_pmfs, kept_chances = kept_pmfs[1:], kept_chances[1:]
 
-        robustness_after = self._queue_robustness(
-            view.base_pmf, [e for k, e in enumerate(entries) if k not in set(dropped)])
-        return DropDecision(drop_indices=dropped,
-                            robustness_before=robustness_before,
-                            robustness_after=robustness_after)
+        if before is None:
+            before = after
+        return DropDecision(drop_indices=dropped, robustness_before=before,
+                            robustness_after=after)
 
     # ------------------------------------------------------------------
-    def _window_probs(self, prefix: PMF, entries: List[QueueEntry], start: int,
-                      end: int, skip: int | None) -> List[float]:
-        """Chances of success of positions ``start..end`` given ``prefix``.
+    def _drop_window(self, prefix: PMF, entries: Sequence[QueueEntry],
+                     start: int, end: int, limit: float, growth: List[float],
+                     exec_terms: int
+                     ) -> Optional[Tuple[List[PMF], List[float], float]]:
+        """Fold positions ``start..end`` from ``prefix``, ``start-1`` dropped.
 
-        ``skip`` marks a position that is provisionally dropped; its chance
-        of success is recorded as ``0.0`` and it does not contribute to the
-        completion chain of the tasks behind it.
+        Returns ``(pmfs, chances, score)`` with ``score`` their chances
+        summed head first, or ``None`` as soon as the mass bound proves that
+        ``score`` cannot exceed ``limit``.
         """
-        probs: List[float] = []
-        prev = prefix
+        # bounds[j] bounds the chance of position start + j (module docstring).
+        mass = prefix.total_mass
+        bounds: List[float] = []
         for n in range(start, end + 1):
+            mass *= growth[n]
+            bounds.append(mass)
+        for j in range(len(bounds) - 2, -1, -1):
+            bounds[j] += bounds[j + 1]  # now bounds positions start+j..end
+        # Every array summed on either side holds at most prefix + exec
+        # supports; a fold contributes a convolution and a mixture rounding,
+        # a chance or bound a reduction and a product, the window sum one
+        # more -- four steps per position plus the prefix and the sum.
+        slack = mass_bound_slack(prefix.probs.size + exec_terms,
+                                 4 * (len(bounds) + 2))
+        pmfs: List[PMF] = []
+        chances: List[float] = []
+        score = 0.0
+        prev = prefix
+        for j, n in enumerate(range(start, end + 1)):
+            if (score + bounds[j]) * slack <= limit:
+                return None
             entry = entries[n]
-            if skip is not None and n == skip:
-                probs.append(0.0)
-                continue
-            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline, self.prune_eps)
-            probs.append(chance_of_success(prev, entry.deadline))
-        return probs
+            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline,
+                                  self.prune_eps)
+            chance = chance_of_success(prev, entry.deadline)
+            pmfs.append(prev)
+            chances.append(chance)
+            score += chance
+        return pmfs, chances, score
 
-    def _queue_robustness(self, base: PMF, entries: List[QueueEntry]) -> float:
-        """Instantaneous robustness of a full queue (for reporting)."""
-        prev = base
-        total = 0.0
-        for entry in entries:
-            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline, self.prune_eps)
+    def _finish_chain(self, total: float, prev: PMF, chances: List[float],
+                      rest: Sequence[QueueEntry]) -> float:
+        """Robustness of the undropped queue, continued from a kept window.
+
+        ``total`` sums the chances ahead of the window, ``chances`` are the
+        window's and ``prev`` its last PMF; ``rest`` are the entries behind.
+        """
+        for chance in chances:
+            total += chance
+        for entry in rest:
+            prev = completion_pmf(prev, entry.exec_pmf, entry.deadline,
+                                  self.prune_eps)
             total += chance_of_success(prev, entry.deadline)
         return total

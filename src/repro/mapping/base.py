@@ -27,8 +27,9 @@ from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional,
 
 import numpy as np
 
-from ..core.completion import (ChainFolder, batched_append_scores,
-                               completion_pmf)
+from ..core.completion import (FAST_FOLD_SUP_NORM_TOL, ChainFolder,
+                               batched_append_scores, completion_pmf,
+                               mass_bound_slack)
 from ..core.pet import PETMatrix
 from ..core.pmf import PMF
 
@@ -374,6 +375,26 @@ class MappingContext:
         else:
             compute = lambda pmf: pmf.mass_before(task.deadline)
         return self._scored(self._chance, machine, task, compute)
+
+    def chance_bound(self, machine: MachineState, task: TaskView) -> float:
+        """Upper bound on :meth:`chance_of_success` that folds nothing.
+
+        Appending never moves mass earlier: a start at ``t`` ends at
+        ``t + x`` with ``x >= exec.origin``, so only tail mass strictly
+        before ``deadline - exec.origin`` can finish in time, and the
+        convolution scales it by ``mass(exec)`` (which may exceed one by
+        the constructor's tolerance, hence ``max(1, ·)``).  Inflated by the
+        rounding slack of both sides (a convolution, a mixture and a
+        ``mass_before`` against a ``mass_before``, a ``total_mass`` and two
+        products); the ``fast`` profile's closed-form chance may exceed the
+        exact one by :data:`FAST_FOLD_SUP_NORM_TOL`, which is added on top.
+        """
+        exec_pmf = self.exec_pmf(task, machine)
+        tail = machine.tail_pmf
+        bound = (tail.mass_before(task.deadline - exec_pmf.origin)
+                 * max(1.0, exec_pmf.total_mass)
+                 * mass_bound_slack(tail.probs.size + exec_pmf.probs.size, 8))
+        return bound + FAST_FOLD_SUP_NORM_TOL if self._fast else bound
 
     # ------------------------------------------------------------------
     def score_block(self, machine: MachineState, tasks: Sequence[TaskView],

@@ -20,7 +20,9 @@ implement it:
 Both backends evaluate identical per-pair arithmetic (same folds, same
 ``mean``/``mass_before`` reductions), so they produce *identical*
 assignments -- the property pinned by the simulator's equivalence grid
-(``tests/sim/test_equivalence.py``).
+(``tests/sim/test_equivalence.py``).  The loop skips the pairs a column's
+fold-free ``lower_bound`` proves cannot win phase 1, which changes which
+pairs it scores but not what it picks.
 
 Columns are pluggable: :func:`register_score_column` adds a named column
 that declarative heuristics can reference from their spec; custom ``pair``
@@ -76,12 +78,23 @@ class ScoreColumn:
     negate:
         For ``appended_chance`` columns: store the *negated* chance so the
         engine's minimisation maximises the chance of success.
+    lower_bound:
+        Optional ``(ctx, machine, task) -> float`` that the column's scalar
+        never falls below and that costs no Eq. 1 fold.  When a heuristic's
+        phase 1 is this single column with the ``machine_id`` tie-break, the
+        loop backend visits machines in ascending bound order and stops once
+        a bound exceeds the best score found (:func:`_bounded_argmin`).
+        ``neg_chance_of_success`` declares ``-ctx.chance_bound``: appending
+        never moves mass earlier, so ``chance(fold(tail, e, d)) <=
+        tail.mass_before(d - e.origin) * max(1, mass(e))``.
     """
 
     name: str
     scalar: Callable[[MappingContext, Optional[MachineState], TaskView], float]
     kind: str = "pair"
     negate: bool = False
+    lower_bound: Optional[
+        Callable[[MappingContext, MachineState, TaskView], float]] = None
 
 
 #: Registry of score columns available to declarative heuristics.
@@ -91,13 +104,15 @@ SCORE_COLUMNS: Dict[str, ScoreColumn] = {}
 def register_score_column(name: str,
                           scalar: Callable[..., float],
                           kind: str = "pair",
-                          negate: bool = False) -> ScoreColumn:
+                          negate: bool = False,
+                          lower_bound: Optional[Callable[..., float]] = None,
+                          ) -> ScoreColumn:
     """Register a named score column for use in :class:`ScoreSpec` columns."""
     if kind not in COLUMN_KINDS:
         raise ValueError(f"unknown column kind {kind!r}; expected one of "
                          f"{COLUMN_KINDS}")
     column = ScoreColumn(name=str(name), scalar=scalar, kind=kind,
-                         negate=bool(negate))
+                         negate=bool(negate), lower_bound=lower_bound)
     SCORE_COLUMNS[column.name] = column
     return column
 
@@ -109,7 +124,8 @@ register_score_column(
 register_score_column(
     "neg_chance_of_success",
     lambda ctx, machine, task: -ctx.chance_of_success(machine, task),
-    kind="appended_chance", negate=True)
+    kind="appended_chance", negate=True,
+    lower_bound=lambda ctx, machine, task: -ctx.chance_bound(machine, task))
 register_score_column(
     "deadline",
     lambda ctx, machine, task: float(task.deadline),
@@ -226,11 +242,21 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
               tasks: Sequence[TaskView],
               machines: Sequence[MachineState],
               ctx: MappingContext) -> List[Assignment]:
-    """Per-pair reference backend: the historical ``map_tasks`` loop."""
+    """Per-pair reference backend: the historical ``map_tasks`` loop.
+
+    Phase 1 picks ``min(free, key=(score, machine_id))`` per task.  When
+    that score is a single declared column with a ``lower_bound`` (PAM's
+    negated chance of success), machines whose bound already loses to the
+    best score found are never scored: for a chance column,
+    ``chance(fold(tail, e, d)) <= tail.mass_before(d - e.origin) *
+    max(1, mass(e))``, so a machine whose inflated bound lies strictly below
+    the best chance cannot win, not even on the machine-id tie-break.
+    """
     spec = heuristic.score_spec
     tb1 = spec.phase1_tiebreak if spec is not None else ("machine_id",)
     tb2 = spec.phase2_tiebreak if spec is not None else ("task_id",)
     per_machine = heuristic.assign_per_machine
+    bounded = _bounded_phase1_column(heuristic)
 
     unmapped: List[TaskView] = list(tasks)
     assignments: List[Assignment] = []
@@ -245,6 +271,10 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
         # the timing reference, so it must not pay for generality).
         pairs: List[Tuple[TaskView, MachineState]] = []
         for task in unmapped:
+            if bounded is not None:
+                pairs.append((task, _bounded_argmin(bounded, ctx,
+                                                    free_machines, task)))
+                continue
             if tb1 == ("machine_id",):
                 key = lambda m: (heuristic.phase1_score(ctx, m, task),
                                  m.machine_id)
@@ -285,6 +315,46 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
             unmapped.remove(task)
             assignments.append(Assignment(task.task_id, machine.machine_id))
     return assignments
+
+
+def _bounded_phase1_column(
+        heuristic: TwoPhaseMappingHeuristic) -> Optional[ScoreColumn]:
+    """The phase-1 column whose lower bound may prune the loop, if any.
+
+    Needs one declared phase-1 column that carries a ``lower_bound``, the
+    default ``machine_id`` tie-break, and no legacy score override (whose
+    score the bound knows nothing about).
+    """
+    spec = heuristic.score_spec
+    if (spec is None or len(spec.phase1) != 1
+            or spec.phase1_tiebreak != ("machine_id",)
+            or _overrides_scores(heuristic)):
+        return None
+    column = _column(spec.phase1[0])
+    return column if column.lower_bound is not None else None
+
+
+def _bounded_argmin(column: ScoreColumn, ctx: MappingContext,
+                    machines: Sequence[MachineState],
+                    task: TaskView) -> MachineState:
+    """``min(machines, key=(score, machine_id))`` without hopeless scores.
+
+    Machines are visited in ascending ``lower_bound`` order (ties by id,
+    then input position).  Once a bound exceeds the best score found, that
+    machine and every later one score strictly worse, so none can win and
+    none is scored.  The result equals the unpruned first-wins ``min``.
+    """
+    order = sorted((column.lower_bound(ctx, m, task), m.machine_id, k)
+                   for k, m in enumerate(machines))
+    _, machine_id, k = order[0]
+    best = (column.scalar(ctx, machines[k], task), machine_id, k)
+    for bound, machine_id, k in order[1:]:
+        if bound > best[0]:
+            break
+        key = (column.scalar(ctx, machines[k], task), machine_id, k)
+        if key < best:
+            best = key
+    return machines[best[2]]
 
 
 # ----------------------------------------------------------------------

@@ -621,6 +621,13 @@ class HCSystem:
                 )
                 decision = dropper.evaluate_queue(view)
                 self.perf.drop_evaluations += 1
+                drops = decision.drop_indices
+                if drops and drops[-1] >= len(pending):
+                    raise ValueError(
+                        f"dropping policy {dropper.name!r} "
+                        f"({type(dropper).__name__}) returned drop index "
+                        f"{drops[-1]} for a queue of {len(pending)} pending "
+                        f"tasks on machine {machine.id}")
                 if memoize:
                     self._drop_cache[machine.id] = (base, pending, key_pressure,
                                                     decision)

@@ -35,6 +35,16 @@ class TestDropDecision:
         assert decision.drop_indices == (1, 2, 3)
         assert decision.num_drops == 3
 
+    @pytest.mark.parametrize("indices", [[-1], [2, -3, 0]])
+    def test_negative_index_rejected(self, indices):
+        with pytest.raises(ValueError, match="negative drop index"):
+            DropDecision(drop_indices=indices)
+
+    @pytest.mark.parametrize("indices", [[1, 1], [3, 0, 3]])
+    def test_duplicate_index_rejected(self, indices):
+        with pytest.raises(ValueError, match="duplicate drop index"):
+            DropDecision(drop_indices=indices)
+
     def test_defaults(self):
         decision = DropDecision()
         assert decision.num_drops == 0

@@ -332,6 +332,29 @@ class TestProactiveDropIndexMapping:
         assert result.tasks[2].completed
 
 
+    def test_index_past_queue_end_names_the_policy(self):
+        # Queue [1, 2, 3]: index 3 is one past the last pending task.
+        dropper = IndexDropper(indices=(0, 3), when_queue_length=3)
+        system = build_simple_system(queue_capacity=6, dropper=dropper)
+        system.submit([Task(id=i, type_id=0, arrival=i, deadline=1000)
+                       for i in range(4)])
+        with pytest.raises(ValueError, match=r"'stub-index' \(IndexDropper\)"
+                                             r" returned drop index 3"):
+            system.run()
+        # Rejected before any removal: no task of the queue was dropped.
+        assert system.num_proactive_drops == 0
+
+    @pytest.mark.parametrize("indices", [(-1,), (1, 1)])
+    def test_negative_or_duplicate_index_rejected(self, indices):
+        dropper = IndexDropper(indices=indices, when_queue_length=3)
+        system = build_simple_system(queue_capacity=6, dropper=dropper)
+        system.submit([Task(id=i, type_id=0, arrival=i, deadline=1000)
+                       for i in range(4)])
+        with pytest.raises(ValueError, match="drop index"):
+            system.run()
+        assert system.num_proactive_drops == 0
+
+
 class TestRunUntilHorizon:
     def test_makespan_reflects_simulated_horizon(self):
         system = build_simple_system()
