@@ -33,6 +33,7 @@ equivalence tests.  A folder can be installed process-wide with
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,6 +58,9 @@ __all__ = [
     "NUMERICS_PROFILES",
     "FAST_FOLD_SUP_NORM_TOL",
     "mass_bound_slack",
+    "prefix_sums",
+    "pmf_moments",
+    "append_mean_lower_bound",
 ]
 
 #: Recognised numerics profiles; ``exact`` reproduces the naive arithmetic
@@ -98,6 +102,118 @@ def mass_bound_slack(terms: int, steps: int) -> float:
     removes mass, so it never widens the gap.
     """
     return 1.0 + 4.0 * steps * terms * _UNIT_ROUNDOFF
+
+
+def prefix_sums(pmf: PMF) -> Tuple[np.ndarray, np.ndarray]:
+    """Prefix masses and first moments of ``pmf``, both of length ``n + 1``.
+
+    ``masses[k]`` is the mass of ``pmf.probs[:k]``; ``moments[k]`` the first
+    moment (absolute times) of that slice.  One pair of cumsums per tail
+    turns every deadline split of the closed-form mean into two index
+    reads.
+    """
+    pp = pmf.probs
+    masses = np.empty(pp.size + 1, dtype=np.float64)
+    masses[0] = 0.0
+    np.cumsum(pp, out=masses[1:])
+    times = pmf.origin + np.arange(pp.size, dtype=np.float64)
+    moments = np.empty(pp.size + 1, dtype=np.float64)
+    moments[0] = 0.0
+    np.cumsum(times * pp, out=moments[1:])
+    masses.setflags(write=False)
+    moments.setflags(write=False)
+    return masses, moments
+
+
+def pmf_moments(pmf: PMF) -> Tuple[float, float]:
+    """``(total mass, first moment)`` of ``pmf`` in absolute times."""
+    ep = pmf.probs
+    mass = float(ep.sum())
+    moment = float(pmf.origin * mass
+                   + np.dot(np.arange(ep.size, dtype=np.float64), ep))
+    return mass, moment
+
+
+def _split_moments(masses: np.ndarray, moments: np.ndarray, k: int,
+                   e_mass: float, e_moment: float) -> Tuple[float, float]:
+    """``(moment, mass)`` of the unpruned Eq. 1 mixture, in closed form.
+
+    The first ``k`` tail bins start on time and are convolved with the
+    execution PMF: a convolution's mass is the product of the operand
+    masses and its first moment ``S_a * M_e + M_a * S_e``.  The remaining
+    bins are the reactive-drop branch, which keeps its own times.
+    """
+    on_mass = float(masses[k])
+    on_moment = float(moments[k])
+    drop_mass = float(masses[-1]) - on_mass
+    drop_moment = float(moments[-1]) - on_moment
+    return (on_moment * e_mass + on_mass * e_moment + drop_moment,
+            on_mass * e_mass + drop_mass)
+
+
+def append_mean_lower_bound(masses: np.ndarray, moments: np.ndarray,
+                            origin: int, exec_pmf: PMF,
+                            exec_moments: Tuple[float, float],
+                            deadline: int, prune_eps: float) -> float:
+    """Fold-free lower bound on the expected completion of one Eq. 1 append.
+
+    ``masses`` / ``moments`` are the :func:`prefix_sums` of a tail starting
+    at ``origin``, ``exec_moments`` the :func:`pmf_moments` of
+    ``exec_pmf``.  The bound is never above the float mean of the exact
+    fold (``fold(tail, exec, deadline).mean()``), nor above the ``fast``
+    profile's :meth:`ChainFolder.append_mean`, which computes the same
+    closed form ``mu`` as here.  It is ``mu`` minus two margins.
+
+    Notation: ``n`` tail bins, ``m`` execution bins, execution origin
+    ``e0``, ``K = n + m + |e0|`` and ``A = |origin| + K``.  Every time in
+    the tail, in the execution PMF and in the result support lies in
+    ``[-A, A]``, so ``|mean| <= A``; the result support spans at most
+    ``K`` bins.  ``T`` is the tail mass, ``E`` the execution mass and
+    ``M`` the mixture mass (the denominator of ``mu``).
+
+    *Rounding.*  Let ``mu*`` be the exact-arithmetic mean of the unpruned
+    mixture of the stored arrays.  Every sum here has at most ``K`` terms,
+    so it is within ``gamma_K = K·u / (1 − K·u)`` of its exact value
+    (``u = 2^-53``; Higham §4.2), relative to the sum of the magnitudes of
+    its terms.  The masses (``T``, ``E``) and the moments (at most ``A``
+    times the masses) give ``|dM| <= 5·gamma_K·T·max(1, E)`` and a
+    numerator error of at most ``10·gamma_K·A·T·max(1, E)``, so with
+    ``rho = T·max(1, E) / M >= 1`` the closed form is within
+    ``16·gamma_K·A·rho`` of ``mu*``.  The exact fold's bins are each
+    within ``gamma_K`` of the exact mixture's (a convolution of
+    non-negative arrays plus one mixture addition), which moves the mean
+    by at most ``span·gamma_K <= gamma_K·A``, and ``PMF.mean`` adds at
+    most ``3·gamma_K·A`` more.  ``32·K·u·A·rho`` covers the sum.
+
+    *Pruning.*  The exact fold zeroes at most ``N <= K`` bins, each below
+    ``prune_eps``, inside a support of span ``S <= K``.  Removing mass
+    ``r <= N·eps`` at distance at most ``S`` from the mean moves the mean
+    by at most ``S·r / (M − r) <= S·N·eps / (M − N·eps)``.  The float
+    ``M`` may overstate the mass before pruning by the relative error
+    above, so the denominator uses ``M·(1 − 32·K·u·rho)``.
+
+    Returns ``-inf`` (never prune) for a pass-through fold (``k <= 0``),
+    an empty operand, a non-positive mass, a rounding margin that is not
+    small against the mass (``32·K·u·rho >= 0.5``), a mass that pruning
+    could wipe out, or any non-finite value; never NaN.
+    """
+    n = masses.size - 1
+    m = exec_pmf.probs.size
+    k = int(deadline) - origin
+    if k <= 0 or n == 0 or m == 0:
+        return -math.inf
+    moment, mass = _split_moments(masses, moments, min(k, n), *exec_moments)
+    if not mass > 0.0:
+        return -math.inf
+    terms = n + m + abs(exec_pmf.origin)
+    rel = (32.0 * terms * _UNIT_ROUNDOFF * float(masses[-1])
+           * max(1.0, exec_moments[0]) / mass)
+    floor = mass * (1.0 - rel) - terms * prune_eps
+    if not (rel < 0.5 and floor > 0.0):
+        return -math.inf
+    bound = (moment / mass - rel * (abs(origin) + terms)
+             - terms * terms * prune_eps / floor)
+    return bound if math.isfinite(bound) else -math.inf
 
 
 @dataclass(frozen=True)
@@ -501,41 +617,23 @@ class ChainFolder:
         self._append_chance_memo[key] = (prev, exec_pmf, value)
         return value
 
-    def _exec_moments(self, exec_pmf: PMF) -> Tuple[float, float]:
-        """``(total mass, first moment)`` of ``exec_pmf``, cached by identity."""
+    def exec_moments(self, exec_pmf: PMF) -> Tuple[float, float]:
+        """:func:`pmf_moments` of ``exec_pmf``, cached by identity."""
         key = id(exec_pmf)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
         hit = self._moments.get(key)
         if hit is not None and hit[0] is exec_pmf:
             return hit[1], hit[2]
-        ep = exec_pmf.probs
-        mass = float(ep.sum())
-        moment = float(exec_pmf.origin * mass
-                       + np.dot(np.arange(ep.size, dtype=np.float64), ep))
+        mass, moment = pmf_moments(exec_pmf)
         self._moments[key] = (exec_pmf, mass, moment)
         return mass, moment
 
     def _prev_prefix(self, prev: PMF) -> Tuple[np.ndarray, np.ndarray]:
-        """Prefix masses and first moments of ``prev``, cached by identity.
-
-        ``masses[k]`` is the mass of ``prev.probs[:k]``; ``moments[k]`` the
-        first moment (absolute times) of that slice.  One pair of cumsums
-        per tail PMF turns every deadline split of the closed-form mean
-        into two index reads.
-        """
+        """:func:`prefix_sums` of ``prev``, cached by identity."""
         key = id(prev)  # repro: allow[id-keyed-state] hit re-checks identity, so address reuse misses
         hit = self._prev_cums.get(key)
         if hit is not None and hit[0] is prev:
             return hit[1], hit[2]
-        pp = prev.probs
-        masses = np.empty(pp.size + 1, dtype=np.float64)
-        masses[0] = 0.0
-        np.cumsum(pp, out=masses[1:])
-        times = prev.origin + np.arange(pp.size, dtype=np.float64)
-        moments = np.empty(pp.size + 1, dtype=np.float64)
-        moments[0] = 0.0
-        np.cumsum(times * pp, out=moments[1:])
-        masses.setflags(write=False)
-        moments.setflags(write=False)
+        masses, moments = prefix_sums(prev)
         if len(self._prev_cums) >= self.memo_limit:
             self._evict_oldest(self._prev_cums)
         self._prev_cums[key] = (prev, masses, moments)
@@ -572,18 +670,9 @@ class ChainFolder:
         if k > pp.size:
             k = pp.size
         masses, moments = self._prev_prefix(prev)
-        on_mass = float(masses[k])
-        on_moment = float(moments[k])
-        drop_mass = float(masses[-1]) - on_mass
-        drop_moment = float(moments[-1]) - on_moment
-        if exec_pmf.is_empty:
-            total_mass = drop_mass
-            total_moment = drop_moment
-        else:
-            e_mass, e_moment = self._exec_moments(exec_pmf)
-            total_mass = on_mass * e_mass + drop_mass
-            total_moment = (on_moment * e_mass + on_mass * e_moment
-                            + drop_moment)
+        # An empty execution PMF has moments (0, 0): the drop branch alone.
+        total_moment, total_mass = _split_moments(
+            masses, moments, k, *self.exec_moments(exec_pmf))
         if total_mass <= 0.0:
             raise ValueError("mean of an empty PMF is undefined")
         value = total_moment / total_mass

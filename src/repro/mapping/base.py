@@ -28,8 +28,9 @@ from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional,
 import numpy as np
 
 from ..core.completion import (FAST_FOLD_SUP_NORM_TOL, ChainFolder,
+                               append_mean_lower_bound,
                                batched_append_scores, completion_pmf,
-                               mass_bound_slack)
+                               mass_bound_slack, pmf_moments, prefix_sums)
 from ..core.pet import PETMatrix
 from ..core.pmf import PMF
 
@@ -239,10 +240,10 @@ class MappingContext:
         if folder is not None and folder.prune_eps != self.prune_eps:
             folder = None  # a mismatched kernel would change pruning
         self._folder = folder
-        #: Work counters of the scoring backends: per-pair score
-        #: evaluations and selection rounds of this mapping event.  The
-        #: simulator folds them into :class:`~repro.sim.perf.PerfStats`
-        #: (``plane_evals`` / ``plane_rounds``) after the event.
+        #: Work counters of the scoring backends: plane cells resolved and
+        #: selection rounds of this mapping event (see
+        #: :class:`~repro.sim.perf.PerfStats`, which the simulator folds
+        #: them into after the event).
         self.plane_evals = 0
         self.plane_rounds = 0
         # Scalar score memos (``memoize_scores``).  Two-phase heuristics
@@ -257,6 +258,11 @@ class MappingContext:
         self._memoize_scores = bool(memoize_scores)
         self._chance: Dict[Tuple[int, int, int], float] = {}
         self._expected: Dict[Tuple[int, int, int], float] = {}
+        #: (machine, version) -> (tail, prefix sums) of the tails whose
+        #: expected-completion bound was asked for.  Per event on purpose:
+        #: keying by tail across events would hold every tail's arrays.
+        self._prefix: Dict[Tuple[int, int],
+                           Tuple[PMF, Tuple[np.ndarray, np.ndarray]]] = {}
         #: True when score queries run the folder's fast-numerics backends.
         self._fast = folder is not None and folder.numerics == "fast"
 
@@ -395,6 +401,29 @@ class MappingContext:
                  * max(1.0, exec_pmf.total_mass)
                  * mass_bound_slack(tail.probs.size + exec_pmf.probs.size, 8))
         return bound + FAST_FOLD_SUP_NORM_TOL if self._fast else bound
+
+    def expected_completion_bound(self, machine: MachineState,
+                                  task: TaskView) -> float:
+        """Lower bound on :meth:`expected_completion` that folds nothing.
+
+        The closed-form mean of the append minus a rounding and a pruning
+        margin (:func:`repro.core.completion.append_mean_lower_bound`,
+        which derives both); ``-inf`` where no safe bound exists.  The
+        tail's prefix sums are computed once per (machine, version).
+        """
+        tail = machine.tail_pmf
+        key = (machine.machine_id, machine.version)
+        hit = self._prefix.get(key)
+        if hit is None or hit[0] is not tail:
+            hit = (tail, prefix_sums(tail))
+            self._prefix[key] = hit
+        exec_pmf = self.exec_pmf(task, machine)
+        folder = self._folder
+        moments = (folder.exec_moments(exec_pmf) if folder is not None
+                   else pmf_moments(exec_pmf))
+        return append_mean_lower_bound(*hit[1], tail.origin, exec_pmf,
+                                       moments, task.deadline,
+                                       self.prune_eps)
 
     # ------------------------------------------------------------------
     def score_block(self, machine: MachineState, tasks: Sequence[TaskView],

@@ -10,19 +10,22 @@ implement it:
   ``TwoPhaseMappingHeuristic.map_tasks``.  Legacy subclasses that override
   the imperative ``phase1_score`` / ``phase2_score`` callables always run
   here.
-* ``vector`` -- the batched engine: score columns are materialised as NumPy
-  matrices (appended-completion columns through the batched kernel in
-  :mod:`repro.core.completion`), only the columns of machines whose
-  provisional tail moved are refilled between rounds, and selection is a
-  vectorised lexicographic argmin whose explicit tie-break columns
-  reproduce the loop backend's pick order bit-for-bit.
+* ``vector`` -- the batched engine: phase-1 score columns are materialised
+  as NumPy matrices (appended-completion columns through the batched
+  kernel in :mod:`repro.core.completion`), only the columns of machines
+  whose provisional tail moved are refilled between rounds, and phase 1 is
+  a vectorised lexicographic argmin whose explicit tie-break columns
+  reproduce the loop backend's pick order bit-for-bit.  A round with one
+  free machine has no phase 1: every task targets that machine.
 
-Both backends evaluate identical per-pair arithmetic (same folds, same
-``mean``/``mass_before`` reductions), so they produce *identical*
-assignments -- the property pinned by the simulator's equivalence grid
-(``tests/sim/test_equivalence.py``).  The loop skips the pairs a column's
-fold-free ``lower_bound`` proves cannot win phase 1, which changes which
-pairs it scores but not what it picks.
+Every exact score either backend computes uses the same arithmetic (same
+folds, same ``mean``/``mass_before`` reductions), so both produce
+*identical* assignments -- the property pinned by the simulator's
+equivalence grid (``tests/sim/test_equivalence.py``).  Neither computes
+every score: each selection visits its candidates in ascending order of a
+fold-free bound (a column's ``lower_bound``) and stops once a bound loses
+to the best exact key (:func:`_bounded_argmin`), which changes which pairs
+are scored but not what is picked.
 
 Columns are pluggable: :func:`register_score_column` adds a named column
 that declarative heuristics can reference from their spec; custom ``pair``
@@ -80,13 +83,16 @@ class ScoreColumn:
         engine's minimisation maximises the chance of success.
     lower_bound:
         Optional ``(ctx, machine, task) -> float`` that the column's scalar
-        never falls below and that costs no Eq. 1 fold.  When a heuristic's
-        phase 1 is this single column with the ``machine_id`` tie-break, the
-        loop backend visits machines in ascending bound order and stops once
-        a bound exceeds the best score found (:func:`_bounded_argmin`).
+        never falls below and that costs no Eq. 1 fold.  Every selection
+        whose key reaches this column through cheap exact columns only
+        visits its candidates in ascending bound order and stops once a
+        bound exceeds the best key found (:func:`_bounded_argmin`).
         ``neg_chance_of_success`` declares ``-ctx.chance_bound``: appending
         never moves mass earlier, so ``chance(fold(tail, e, d)) <=
         tail.mass_before(d - e.origin) * max(1, mass(e))``.
+        ``expected_completion`` declares
+        ``ctx.expected_completion_bound``: the closed-form mean of the
+        append minus a rounding and a pruning margin.
     """
 
     name: str
@@ -120,7 +126,9 @@ def register_score_column(name: str,
 register_score_column(
     "expected_completion",
     lambda ctx, machine, task: ctx.expected_completion(machine, task),
-    kind="appended_mean")
+    kind="appended_mean",
+    lower_bound=lambda ctx, machine, task:
+        ctx.expected_completion_bound(machine, task))
 register_score_column(
     "neg_chance_of_success",
     lambda ctx, machine, task: -ctx.chance_of_success(machine, task),
@@ -160,16 +168,6 @@ def evaluate_columns(names: Sequence[str], ctx: MappingContext,
     return tuple(_column(name).scalar(ctx, machine, task) for name in names)
 
 
-def _tiebreak_scalar(name: str, ctx: MappingContext, machine: MachineState,
-                     task: TaskView):
-    """Tie-break key component for the loop backend."""
-    if name == "machine_id":
-        return machine.machine_id
-    if name == "task_id":
-        return task.task_id
-    return _column(name).scalar(ctx, machine, task)
-
-
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
@@ -180,9 +178,11 @@ def _tiebreak_scalar(name: str, ctx: MappingContext, machine: MachineState,
 #: widths 1-14 of PAM + react on spec 40k, gamma 5, on the reference
 #: machine (min-of-2 timings), the loop wins clearly up to ~9-task planes,
 #: the ratio crosses 1.0 around 10-13 (within run-to-run noise), and the
-#: vector engine wins from there up.  Tests and ``repro bench`` force one
-#: backend by rebinding this module constant (``sys.maxsize`` = always the
-#: loop, ``0`` = always the plane).
+#: vector engine wins from there up.  That crossover was measured against
+#: the exhaustive plane, before bound-pruned selection and one-machine
+#: rounds; the value stays, since moving it moves ``plane_evals``.  Tests
+#: and ``repro bench`` force one backend by rebinding this module constant
+#: (``sys.maxsize`` = always the loop, ``0`` = always the plane).
 SMALL_PLANE_TASKS = 10
 
 
@@ -236,6 +236,105 @@ def _overrides_scores(heuristic: TwoPhaseMappingHeuristic) -> bool:
 
 
 # ----------------------------------------------------------------------
+# Selection
+# ----------------------------------------------------------------------
+#: Column kinds whose exact value costs no fold (besides the id tie-breaks).
+_CHEAP_KINDS = ("task", "static_pair")
+
+
+class _KeyPlan:
+    """Exact key tuples of one selection, and the bounds that stand in.
+
+    A candidate is a pair ``(a, b)`` -- ``(machine, task)`` on the loop
+    backend, ``(machine index, task row)`` on the vector backend.
+    ``resolve(name)`` returns the getter ``(a, b) -> value`` of one key
+    column; ``lower(column)`` the getter of a value the column never falls
+    below at a candidate (or ``None`` there), or ``None`` for no bound.
+    The *bound* of a candidate is the run of cheap exact columns at the
+    head of its key (ids, ``task`` and ``static_pair`` kinds, e.g. MSD's
+    ``deadline``) followed by the lower bound of the first costly column,
+    so it never exceeds the matching prefix of the exact key.  A legacy
+    ``score(a, b)`` callable leads the key instead of declared columns;
+    its plan bounds nothing.
+    """
+
+    __slots__ = ("getters", "head", "low")
+
+    def __init__(self, names: Sequence[str], resolve: Callable,
+                 lower: Callable, score: Optional[Callable] = None):
+        self.getters = [resolve(name) for name in names]
+        self.head: List[Callable] = []
+        self.low: Optional[Callable] = None
+        if score is not None:
+            self.getters.insert(0, score)
+            return
+        self.head = self.getters
+        for i, name in enumerate(names):
+            if name in ("machine_id", "task_id"):
+                continue
+            column = _column(name)
+            if column.kind not in _CHEAP_KINDS:
+                self.head, self.low = self.getters[:i], lower(column)
+                break
+
+    def key(self, a, b) -> tuple:
+        return tuple([get(a, b) for get in self.getters])
+
+    def bound(self, a, b) -> tuple:
+        values = [get(a, b) for get in self.head]
+        if self.low is not None:
+            low = self.low(a, b)
+            if low is not None:
+                values.append(low)
+        return tuple(values)
+
+
+def _bounded_argmin(plan: _KeyPlan, candidates: Sequence[tuple]) -> int:
+    """Position of ``min((plan.key(*c), i) for i, c in enumerate(candidates))``.
+
+    The first-wins lexicographic ``min`` without hopeless keys: candidates
+    are visited in ascending bound order (ties by position).  Once a bound
+    is strictly greater than the same-length prefix of the best exact key,
+    that candidate's key and every later one's are strictly greater too, so
+    none can win and none is evaluated.  A lone candidate wins unscored.
+    """
+    if len(candidates) == 1:
+        return 0
+    bounds = [plan.bound(a, b) for a, b in candidates]
+    order = sorted(range(len(candidates)), key=bounds.__getitem__)
+    best = order[0]
+    best_key = plan.key(*candidates[best])
+    for i in order[1:]:
+        bound = bounds[i]
+        if bound > best_key[:len(bound)]:
+            break
+        key = plan.key(*candidates[i])
+        if key < best_key or (key == best_key and i < best):
+            best, best_key = i, key
+    return best
+
+
+def _loop_plan(names: Sequence[str], ctx: MappingContext,
+               score: Optional[Callable] = None) -> _KeyPlan:
+    """Plan over ``(machine, task)`` candidates, scored by column scalars."""
+    def resolve(name: str) -> Callable:
+        if name == "machine_id":
+            return lambda machine, task: machine.machine_id
+        if name == "task_id":
+            return lambda machine, task: task.task_id
+        scalar = _column(name).scalar
+        return lambda machine, task: scalar(ctx, machine, task)
+
+    def lower(column: ScoreColumn) -> Optional[Callable]:
+        bound = column.lower_bound
+        if bound is None:
+            return None
+        return lambda machine, task: bound(ctx, machine, task)
+
+    return _KeyPlan(names, resolve, lower, score)
+
+
+# ----------------------------------------------------------------------
 # Loop backend (reference)
 # ----------------------------------------------------------------------
 def _map_loop(heuristic: TwoPhaseMappingHeuristic,
@@ -244,19 +343,30 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
               ctx: MappingContext) -> List[Assignment]:
     """Per-pair reference backend: the historical ``map_tasks`` loop.
 
-    Phase 1 picks ``min(free, key=(score, machine_id))`` per task.  When
-    that score is a single declared column with a ``lower_bound`` (PAM's
-    negated chance of success), machines whose bound already loses to the
-    best score found are never scored: for a chance column,
-    ``chance(fold(tail, e, d)) <= tail.mass_before(d - e.origin) *
-    max(1, mass(e))``, so a machine whose inflated bound lies strictly below
-    the best chance cannot win, not even on the machine-id tie-break.
+    Phase 1 picks ``min(free, key=(score, machine_id))`` per task and
+    phase 2 the least ``(phase-2 score, task_id)`` per machine (or
+    globally), both through :func:`_bounded_argmin`: a candidate whose
+    fold-free bound already loses to the best key found is never scored.
+    For PAM's chance column, ``chance(fold(tail, e, d)) <=
+    tail.mass_before(d - e.origin) * max(1, mass(e))``; for expected
+    completion, the closed-form mean minus its rounding and pruning
+    margins.  A legacy score override is scored exhaustively; the other
+    phase keeps its declared columns.
     """
     spec = heuristic.score_spec
     tb1 = spec.phase1_tiebreak if spec is not None else ("machine_id",)
     tb2 = spec.phase2_tiebreak if spec is not None else ("task_id",)
-    per_machine = heuristic.assign_per_machine
-    bounded = _bounded_phase1_column(heuristic)
+    cls, base = type(heuristic), TwoPhaseMappingHeuristic
+    if cls.phase1_score is base.phase1_score:
+        plan1 = _loop_plan(heuristic._spec().phase1 + tb1, ctx)
+    else:
+        plan1 = _loop_plan(tb1, ctx, lambda machine, task:
+                           heuristic.phase1_score(ctx, machine, task))
+    if cls.phase2_score is base.phase2_score:
+        plan2 = _loop_plan(heuristic._spec().phase2 + tb2, ctx)
+    else:
+        plan2 = _loop_plan(tb2, ctx, lambda machine, task:
+                           heuristic.phase2_score(ctx, machine, task))
 
     unmapped: List[TaskView] = list(tasks)
     assignments: List[Assignment] = []
@@ -266,95 +376,29 @@ def _map_loop(heuristic: TwoPhaseMappingHeuristic,
         ctx.plane_rounds += 1
         ctx.plane_evals += len(unmapped) * (len(free_machines) + 1)
 
-        # Phase 1: each task picks its best machine.  The default
-        # tie-breaks keep the historical two-element keys (this loop is
-        # the timing reference, so it must not pay for generality).
-        pairs: List[Tuple[TaskView, MachineState]] = []
+        # Phase 1: each task picks its best machine.
+        pairs: List[Tuple[MachineState, TaskView]] = []
         for task in unmapped:
-            if bounded is not None:
-                pairs.append((task, _bounded_argmin(bounded, ctx,
-                                                    free_machines, task)))
-                continue
-            if tb1 == ("machine_id",):
-                key = lambda m: (heuristic.phase1_score(ctx, m, task),
-                                 m.machine_id)
-            else:
-                key = lambda m: (heuristic.phase1_score(ctx, m, task),
-                                 *(_tiebreak_scalar(n, ctx, m, task)
-                                   for n in tb1))
-            pairs.append((task, min(free_machines, key=key)))
+            cands = [(machine, task) for machine in free_machines]
+            pairs.append(cands[_bounded_argmin(plan1, cands)])
 
         # Phase 2: resolve contention per machine (or globally).
-        if tb2 == ("task_id",):
-            def p2key(tm: Tuple[TaskView, MachineState]):
-                task, machine = tm
-                return (heuristic.phase2_score(ctx, machine, task),
-                        task.task_id)
-        else:
-            def p2key(tm: Tuple[TaskView, MachineState]):
-                task, machine = tm
-                return (heuristic.phase2_score(ctx, machine, task),
-                        *(_tiebreak_scalar(n, ctx, machine, task)
-                          for n in tb2))
-
-        if per_machine:
-            by_machine: Dict[int, List[Tuple[TaskView, MachineState]]] = {}
-            for task, machine in pairs:
-                by_machine.setdefault(machine.machine_id, []).append((task, machine))
-            committed = [min(machine_pairs, key=p2key)
-                         for machine_pairs in by_machine.values()]
+        if heuristic.assign_per_machine:
+            by_machine: Dict[int, List[Tuple[MachineState, TaskView]]] = {}
+            for pair in pairs:
+                by_machine.setdefault(pair[0].machine_id, []).append(pair)
+            committed = [group[_bounded_argmin(plan2, group)]
+                         for group in by_machine.values()]
         else:
             # Single global winner per round (PAM).
-            committed = [min(pairs, key=p2key)]
+            committed = [pairs[_bounded_argmin(plan2, pairs)]]
 
-        if not committed:
-            break
-        for task, machine in committed:
+        for machine, task in committed:
             new_tail = ctx.completion_if_appended(machine, task)
             machine.commit(new_tail)
             unmapped.remove(task)
             assignments.append(Assignment(task.task_id, machine.machine_id))
     return assignments
-
-
-def _bounded_phase1_column(
-        heuristic: TwoPhaseMappingHeuristic) -> Optional[ScoreColumn]:
-    """The phase-1 column whose lower bound may prune the loop, if any.
-
-    Needs one declared phase-1 column that carries a ``lower_bound``, the
-    default ``machine_id`` tie-break, and no legacy score override (whose
-    score the bound knows nothing about).
-    """
-    spec = heuristic.score_spec
-    if (spec is None or len(spec.phase1) != 1
-            or spec.phase1_tiebreak != ("machine_id",)
-            or _overrides_scores(heuristic)):
-        return None
-    column = _column(spec.phase1[0])
-    return column if column.lower_bound is not None else None
-
-
-def _bounded_argmin(column: ScoreColumn, ctx: MappingContext,
-                    machines: Sequence[MachineState],
-                    task: TaskView) -> MachineState:
-    """``min(machines, key=(score, machine_id))`` without hopeless scores.
-
-    Machines are visited in ascending ``lower_bound`` order (ties by id,
-    then input position).  Once a bound exceeds the best score found, that
-    machine and every later one score strictly worse, so none can win and
-    none is scored.  The result equals the unpruned first-wins ``min``.
-    """
-    order = sorted((column.lower_bound(ctx, m, task), m.machine_id, k)
-                   for k, m in enumerate(machines))
-    _, machine_id, k = order[0]
-    best = (column.scalar(ctx, machines[k], task), machine_id, k)
-    for bound, machine_id, k in order[1:]:
-        if bound > best[0]:
-            break
-        key = (column.scalar(ctx, machines[k], task), machine_id, k)
-        if key < best:
-            best = key
-    return machines[best[2]]
 
 
 # ----------------------------------------------------------------------
@@ -375,20 +419,10 @@ def _lex_argmin_rows(cols: Sequence[np.ndarray]) -> np.ndarray:
     return cand.argmax(axis=1)
 
 
-def _lex_argmin_1d(cols: Sequence[np.ndarray]) -> int:
-    """Lexicographic argmin over parallel 1-D key arrays (first wins)."""
-    first = cols[0]
-    cand = first == first.min()
-    for col in cols[1:]:
-        masked = np.where(cand, col, np.inf)
-        cand &= masked == masked.min()
-    return int(cand.argmax())
-
-
 def _map_vector(spec: ScoreSpec, tasks: Sequence[TaskView],
                 machines: Sequence[MachineState],
                 ctx: MappingContext) -> List[Assignment]:
-    """Batched backend: materialised score plane + vectorised selection.
+    """Batched backend: materialised phase-1 plane + bounded phase 2.
 
     The plane is filled column-by-column through
     :meth:`MappingContext.score_block`; between rounds only the columns of
@@ -397,6 +431,12 @@ def _map_vector(spec: ScoreSpec, tasks: Sequence[TaskView],
     *input order* of tasks and machines, so full ties beyond the declared
     tie-break columns resolve to the first candidate exactly as the loop
     backend's first-wins ``min`` does.
+
+    A round with a single free machine fills nothing: every task targets
+    that machine.  ``plane_evals`` still counts the refill the plane would
+    have issued, so the counter is the same whichever rounds are skipped.
+    Phase 2 then runs :func:`_bounded_argmin` over each task's own target
+    machine, reading phase-1 matrices only where they are current.
     """
     task_list = list(tasks)
     machine_list = list(machines)
@@ -406,11 +446,9 @@ def _map_vector(spec: ScoreSpec, tasks: Sequence[TaskView],
 
     # Only phase-1 columns are materialised as full (task x machine)
     # matrices: phase 1 genuinely needs the whole plane, while phase 2 only
-    # reads each task's own target machine -- a thin diagonal the loop
-    # backend scores pair-by-pair through the memoised context.  Columns
-    # referenced solely by phase 2 are therefore gathered lazily per round
-    # (PAM's expected-completion tie chain, for instance, would otherwise
-    # cost a full plane of means for one winner per round).
+    # reads each task's own target machine -- a thin diagonal scored
+    # pair-by-pair through the memoised context, and only where a bound
+    # cannot rule the pair out.
     plane_names: List[str] = []
     for name in spec.phase1 + spec.phase1_tiebreak:
         if name not in ("machine_id", "task_id") and name not in plane_names:
@@ -438,6 +476,7 @@ def _map_vector(spec: ScoreSpec, tasks: Sequence[TaskView],
     mats: Dict[str, np.ndarray] = {
         c.name: np.empty((num_tasks, num_machines), dtype=np.float64)
         for c in plane_cols if c.kind != "task"}
+    filled_version: List[Optional[int]] = [None] * num_machines
 
     def key_matrix(name: str, rows: np.ndarray,
                    cols: np.ndarray) -> np.ndarray:
@@ -455,29 +494,47 @@ def _map_vector(spec: ScoreSpec, tasks: Sequence[TaskView],
                                    (rows.size, cols.size))
         return mats[name][np.ix_(rows, cols)]
 
-    def key_vector(name: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Key values of the (rows[i], cols[i]) candidate pairs.
+    def current(j: int) -> bool:
+        """True when machine ``j``'s cells of the phase-1 matrices are
+        current (a one-machine round leaves them stale)."""
+        return filled_version[j] == machine_list[j].version
 
-        Served from the materialised plane when the column is a phase-1
-        matrix; otherwise gathered lazily through the column's scalar
-        (which hits the context's per-(machine, version, task) memos, so
-        repeat rounds cost dictionary probes exactly like the loop).
-        """
+    def resolve(name: str) -> Callable:
+        """Getter of the exact key value of task row ``r`` on machine ``j``."""
         if name == "machine_id":
-            return machine_ids[cols].astype(np.float64)
+            return lambda j, r: machine_list[j].machine_id
         if name == "task_id":
-            return task_ids[rows].astype(np.float64)
+            return lambda j, r: task_list[r].task_id
         if name in task_vals:
-            return task_vals[name][rows]
-        if name in mats:
-            return mats[name][rows, cols]
-        column = _column(name)
-        ctx.plane_evals += rows.size
-        return np.array(
-            [column.scalar(ctx, machine_list[int(c)], task_list[int(r)])
-             for r, c in zip(rows, cols)], dtype=np.float64)
+            values = task_vals[name].tolist()
+            return lambda j, r: values[r]
+        scalar = _column(name).scalar
+        if name not in mats:
+            return lambda j, r: scalar(ctx, machine_list[j], task_list[r])
+        mat = mats[name]
+        return lambda j, r: (float(mat[r, j]) if current(j) else
+                             scalar(ctx, machine_list[j], task_list[r]))
 
-    filled_version: List[Optional[int]] = [None] * num_machines
+    def lower(column: ScoreColumn) -> Callable:
+        """Getter of the column's bound: its current plane value, if any."""
+        mat = mats.get(column.name)
+        bound = column.lower_bound
+
+        def low(j: int, r: int) -> Optional[float]:
+            if mat is not None and current(j):
+                return float(mat[r, j])
+            if bound is None:
+                return None
+            return bound(ctx, machine_list[j], task_list[r])
+        return low
+
+    p2names = spec.phase2 + spec.phase2_tiebreak
+    plan2 = _KeyPlan(p2names, resolve, lower)
+    # Phase-2 columns outside the plane count one nominal cell per row and
+    # round, whether or not a bound spares the pair its score.
+    lazy_p2 = sum(1 for name in p2names
+                  if name not in ("machine_id", "task_id")
+                  and name not in task_vals and name not in mats)
     alive = np.ones(num_tasks, dtype=bool)
     assignments: List[Assignment] = []
 
@@ -491,74 +548,70 @@ def _map_vector(spec: ScoreSpec, tasks: Sequence[TaskView],
             break
         ctx.plane_rounds += 1
 
-        # (Re)fill stale phase-1 columns for the rows still in play.
-        for j in free:
-            machine = machine_list[j]
-            if filled_version[j] == machine.version:
-                continue
-            if filled_version[j] is None:
-                # Tail-independent columns are filled once, on the
-                # machine's first appearance, and never refilled.
-                for c in static_cols:
+        if len(free) == 1:
+            # Phase 1 can only pick the lone free machine: fold no cell,
+            # and leave its matrices stale (``current`` says so).
+            j = free[0]
+            if appended_cols and not current(j):
+                ctx.plane_evals += rows.size
+            target = [j] * rows.size
+        else:
+            # (Re)fill stale phase-1 columns for the rows still in play.
+            for j in free:
+                machine = machine_list[j]
+                if current(j):
+                    continue
+                if filled_version[j] is None:
+                    # Tail-independent columns are filled once, on the
+                    # machine's first appearance, and never refilled.
+                    for c in static_cols:
+                        col = mats[c.name]
+                        for i in rows:
+                            col[i, j] = c.scalar(ctx, machine,
+                                                 task_list[int(i)])
+                if appended_cols:
+                    block = [task_list[int(i)] for i in rows]
+                    means, chances = ctx.score_block(
+                        machine, block, want_mean=need_mean,
+                        want_chance=need_chance)
+                    for c in appended_cols:
+                        if c.kind == "appended_mean":
+                            mats[c.name][rows, j] = means
+                        else:
+                            mats[c.name][rows, j] = (-chances if c.negate
+                                                     else chances)
+                for c in pair_cols:
                     col = mats[c.name]
                     for i in rows:
                         col[i, j] = c.scalar(ctx, machine, task_list[int(i)])
-            if appended_cols:
-                block = [task_list[int(i)] for i in rows]
-                means, chances = ctx.score_block(
-                    machine, block, want_mean=need_mean,
-                    want_chance=need_chance)
-                for c in appended_cols:
-                    if c.kind == "appended_mean":
-                        mats[c.name][rows, j] = means
-                    else:
-                        mats[c.name][rows, j] = (-chances if c.negate
-                                                 else chances)
-            for c in pair_cols:
-                col = mats[c.name]
-                for i in rows:
-                    col[i, j] = c.scalar(ctx, machine, task_list[int(i)])
-            filled_version[j] = machine.version
+                filled_version[j] = machine.version
 
-        # Phase 1: per task, lexicographic argmin over the free machines.
-        free_arr = np.array(free, dtype=np.int64)
-        keys = [key_matrix(name, rows, free_arr)
-                for name in spec.phase1 + spec.phase1_tiebreak]
-        target = free_arr[_lex_argmin_rows(keys)]
+            # Phase 1: per task, lexicographic argmin over the free machines.
+            free_arr = np.array(free, dtype=np.int64)
+            keys = [key_matrix(name, rows, free_arr)
+                    for name in spec.phase1 + spec.phase1_tiebreak]
+            target = free_arr[_lex_argmin_rows(keys)].tolist()
 
-        # Phase 2: resolve contention per machine (or globally).  Key
-        # values are evaluated at each task's own target machine.
-        committed: List[Tuple[int, int]] = []
-        p2names = spec.phase2 + spec.phase2_tiebreak
-        keys = [key_vector(name, rows, target) for name in p2names]
+        # Phase 2: resolve contention per machine (or globally), each
+        # candidate keyed at its own target machine.
+        ctx.plane_evals += lazy_p2 * rows.size
+        cands = list(zip(target, rows.tolist()))
         if spec.assign_per_machine:
-            # One stable lexsort picks every machine's winner at once:
-            # primary key = target machine, then the phase-2 columns, then
-            # the tie-breaks; stability resolves full ties to the first
-            # task in window order, exactly like the loop's ``min``.
-            order_idx = np.lexsort(tuple(reversed(keys)) + (target,))
-            tsorted = target[order_idx]
-            starts = np.empty(tsorted.size, dtype=bool)
-            starts[0] = True
-            np.not_equal(tsorted[1:], tsorted[:-1], out=starts[1:])
-            win_pos = order_idx[starts]       # one winner per target machine
-            # Commit in the order each machine was first targeted (the
+            # Grouped in the order each machine was first targeted (the
             # insertion order of the loop backend's per-machine grouping).
-            _, first_idx = np.unique(target, return_index=True)
-            win_pos = win_pos[np.argsort(first_idx, kind="stable")]
-            committed = [(int(rows[pos]), int(target[pos]))
-                         for pos in win_pos]
+            groups: Dict[int, List[Tuple[int, int]]] = {}
+            for cand in cands:
+                groups.setdefault(cand[0], []).append(cand)
+            committed = [group[_bounded_argmin(plan2, group)]
+                         for group in groups.values()]
         else:
-            winner = _lex_argmin_1d(keys)
-            committed.append((int(rows[winner]), int(target[winner])))
+            committed = [cands[_bounded_argmin(plan2, cands)]]
 
-        if not committed:  # pragma: no cover - rows and free are non-empty
-            break
-        for row, j in committed:
-            task = task_list[row]
+        for j, r in committed:
+            task = task_list[r]
             machine = machine_list[j]
             new_tail = ctx.completion_if_appended(machine, task)
             machine.commit(new_tail)
-            alive[row] = False
+            alive[r] = False
             assignments.append(Assignment(task.task_id, machine.machine_id))
     return assignments

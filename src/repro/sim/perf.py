@@ -50,13 +50,15 @@ class PerfStats:
         Fold mixtures served from the folder's preallocated scratch buffer
         (no per-step output allocation).
     plane_evals / plane_rounds:
-        Work done by the two-phase score-plane backends
-        (:mod:`repro.mapping.kernel`): per-pair score evaluations issued
-        and selection rounds executed.  The loop backend re-issues every
-        (task, machine) score each round; the vector backend only refills
-        the columns of machines whose provisional tail moved, so the
-        ``plane_evals`` gap between the two backends is the work the
-        vectorised engine avoids.
+        Work of the two-phase score-plane backends
+        (:mod:`repro.mapping.kernel`): the plane cells the engine resolves,
+        and the selection rounds executed.  The loop backend counts every
+        (task, machine) pair of every round plus one phase-2 cell per
+        task; the vector backend counts the rows of each moved column it
+        refills (or, in a round with one free machine, would refill) plus
+        one cell per row for each phase-2 column outside the plane.  The
+        count is not the number of folds: bound-pruned selection and
+        one-machine rounds leave most resolved cells unfolded.
     wall_time_s:
         Wall-clock time spent inside :meth:`HCSystem.run`.
     """

@@ -1,7 +1,8 @@
 """Bound-pruned PAM phase 1 on the loop backend against an exhaustive referee.
 
 The loop backend skips machines whose chance-of-success bound already
-loses to the best chance found (:func:`repro.mapping.kernel._bounded_argmin`).
+loses to the best chance found (:func:`repro.mapping.kernel._bounded_argmin`
+over PAM's phase-1 key plan).
 Every pick must equal the exhaustive ``min(free, key=(score, machine_id))``
 the loop computed before the pruning -- across ties at chance 0 and 1,
 same-type machines, sub-probability tails, execution masses above one,
@@ -21,9 +22,7 @@ from repro.core.pmf import MASS_TOLERANCE, PMF
 from repro.mapping import PAM
 from repro.mapping import kernel
 from repro.mapping.base import MachineState, MappingContext, TaskView
-from repro.mapping.kernel import SCORE_COLUMNS, _bounded_argmin, _map_loop
-
-CHANCE = SCORE_COLUMNS["neg_chance_of_success"]
+from repro.mapping.kernel import _bounded_argmin, _loop_plan, _map_loop
 
 
 class ShiftedExecution:
@@ -47,6 +46,13 @@ class ShiftedExecution:
 
     def mean(self, type_id: int, machine_id: int) -> float:
         return self._means[(type_id, machine_id)]
+
+
+def pruned_pick(ctx, machines, task):
+    """PAM's phase 1 as the loop backend runs it."""
+    spec = PAM.score_spec
+    plan = _loop_plan(spec.phase1 + spec.phase1_tiebreak, ctx)
+    return machines[_bounded_argmin(plan, [(m, task) for m in machines])]
 
 
 def exhaustive_pick(ctx, machines, task):
@@ -141,7 +147,7 @@ def test_pruned_pick_equals_exhaustive_min(plane, numerics, memoize):
     referee_ctx = _context(pet, layout, shifts, numerics, memoize)
     machines = _machines(layout)
     for task in tasks:
-        got = _bounded_argmin(CHANCE, ctx, machines, task)
+        got = pruned_pick(ctx, machines, task)
         want = exhaustive_pick(referee_ctx, machines, task)
         assert got.machine_id == want.machine_id
 
@@ -155,12 +161,12 @@ def test_pruned_loop_maps_like_the_unpruned_loop(plane, numerics):
     pruned = _map_loop(PAM(), tasks, _machines(layout),
                        _context(pet, layout, shifts, numerics, True))
     unpruned_ctx = _context(pet, layout, shifts, numerics, True)
-    original = kernel._bounded_phase1_column
-    kernel._bounded_phase1_column = lambda heuristic: None
+    original = kernel._KeyPlan.bound
+    kernel._KeyPlan.bound = lambda self, a, b: ()  # no bound: score all
     try:
         unpruned = _map_loop(PAM(), tasks, _machines(layout), unpruned_ctx)
     finally:
-        kernel._bounded_phase1_column = original
+        kernel._KeyPlan.bound = original
     assert pruned == unpruned
 
 
@@ -176,7 +182,7 @@ def test_ties_resolve_to_the_lowest_machine_id(numerics, deadline, chance):
     task = TaskView(task_id=0, type_id=0, arrival=0, deadline=deadline)
     machines = _machines(layout)[::-1]  # input order must not matter
     assert ctx.chance_of_success(machines[0], task) == chance
-    assert _bounded_argmin(CHANCE, ctx, machines, task).machine_id == 0
+    assert pruned_pick(ctx, machines, task).machine_id == 0
 
 
 @pytest.mark.parametrize("numerics", [None, "exact", "fast"])

@@ -19,9 +19,9 @@ from repro.mapping import EDF, MSD, PAM, MinMin
 from repro.mapping.base import (MachineState, MappingContext, ScoreSpec,
                                 TaskView, TwoPhaseMappingHeuristic)
 from repro.mapping.kernel import (SCORE_COLUMNS, SMALL_PLANE_TASKS,
-                                  _lex_argmin_1d, _lex_argmin_rows, _map_loop,
-                                  _map_vector, evaluate_columns,
-                                  register_score_column)
+                                  _bounded_argmin, _KeyPlan,
+                                  _lex_argmin_rows, _map_loop, _map_vector,
+                                  evaluate_columns, register_score_column)
 
 
 def random_pet(rng, task_types, machine_types):
@@ -119,7 +119,11 @@ class TestLexArgmin:
             keys = [rng.integers(0, 3, size=n).astype(float)
                     for _ in range(3)]
             expected = min(range(n), key=lambda i: tuple(k[i] for k in keys))
-            assert _lex_argmin_1d(keys) == expected
+            # A plan without bounds: the selection scores every candidate.
+            plan = _KeyPlan((), None, None, score=lambda i, _: tuple(
+                k[i] for k in keys))
+            assert _bounded_argmin(plan, [(i, None) for i in range(n)]) \
+                == expected
 
 
 class TestBackendEquality:

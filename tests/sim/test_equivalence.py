@@ -177,6 +177,32 @@ def test_naive_path_matches_each_backend(monkeypatch, threshold):
     assert naive == fast
 
 
+@pytest.mark.parametrize("level,mapper,dropper,dropper_params,seed",
+                         WIDE_GRID + ORDERED_WIDE_GRID)
+def test_naive_matches_incremental_on_wide_planes(monkeypatch, level, mapper,
+                                                  dropper, dropper_params,
+                                                  seed):
+    """naive == incremental with every multi-task window on the plane.
+
+    The tight grid's windows mostly hold one task and run on the loop, so
+    only these backlogged cases check the plane -- its one-machine rounds
+    and bound-pruned phase 2 -- against the naive path, which recomputes
+    every tail and keeps no score memos.
+    """
+    def spec(incremental):
+        return _spec(level, mapper, dropper, dropper_params, seed,
+                     incremental=incremental, gamma=4.0, batch_window=64,
+                     queue_capacity=2)
+
+    naive = _run(monkeypatch, spec(False), PLANE)
+    fast = _run(monkeypatch, spec(True), PLANE)
+    assert naive == fast
+    assert naive.robustness == fast.robustness
+    assert naive.drops == fast.drops
+    assert naive.makespan == fast.makespan
+    assert fast.perf.plane_rounds > 0
+
+
 def test_incremental_path_actually_caches():
     """Guard against the fast path silently degenerating to naive."""
     fast = run_trial(_spec("30k", "PAM", "heuristic", (), 42, incremental=True))
